@@ -13,7 +13,6 @@ from .possq import (
     normalize_density_to_possibility,
     possibility_of_event,
     sample_discrete,
-    sample_water_poured,
     water_pour_continuous,
     water_pour_discrete,
 )
@@ -25,7 +24,6 @@ from .filters import (
     PossibilityPFOptions,
     TEXTBOOK_OPTIONS,
     possibility_pf_init,
-    possibility_pf_predict_update,
     possibility_pf_resample,
     possibility_pf_step,
     standard_pf_init,
@@ -35,17 +33,14 @@ from .filters import (
 from .tma import (
     AtOrigin,
     CrlbResult,
-    DynamicsConfig,
     ObserverTrajectory,
-    bearing,
-    bearing_likelihood,
     bearing_log_likelihood,
+    bearings_of,
     crlb_curve,
     init_prior,
     observer_input,
     process_noise_matrix,
     transition_matrix,
-    transition_possibility,
     wrap_angle,
 )
 from .bench import (

@@ -13,7 +13,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .filters import (
 )
 from .possq import GaussianPossibility
 from .tma import (
-    DynamicsConfig,
     ObserverTrajectory,
     bearing_log_likelihood,
     bearings_of,
@@ -48,8 +48,8 @@ FILTER_STANDARD = "standard"
 
 
 def is_divergent(final_error_m: float, threshold_m: float = DIVERGENCE_THRESHOLD_M) -> bool:
-    """A run diverges when its final position error strictly exceeds the threshold."""
-    return bool(final_error_m > threshold_m)
+    """A run diverges unless its final position error is finite and at most the threshold."""
+    return not final_error_m <= threshold_m
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -80,8 +80,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("gaussian", "student-t"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma <= 0:
-            raise ValueError("noise sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("noise sigma must be positive and finite")
         if self.kind == "student-t" and not self.nu > 0:
             raise ValueError("student-t degrees of freedom must be positive")
 
@@ -104,13 +104,17 @@ class PriorConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulated engagement: observer, target, dynamics, noise models."""
+    """One simulated engagement: observer, target, CV dynamics, noise models.
+
+    ``T`` is the sampling interval in seconds and ``q`` the process-noise
+    intensity in m^2/s^3.
+    """
 
     scan_count: int
     T: float
     observer: ObserverTrajectory
     target_init: np.ndarray
-    dynamics: DynamicsConfig
+    q: float
     true_noise: NoiseModel
     filter_sigma: float
     deterministic_target: bool = False
@@ -120,8 +124,12 @@ class Scenario:
             raise ValueError("scenario needs at least 2 scans")
         if len(self.observer) != self.scan_count:
             raise ValueError("observer trajectory length must equal the scan count")
-        if self.filter_sigma <= 0:
-            raise ValueError("filter sigma must be positive")
+        if not 0 < self.T < math.inf:
+            raise ValueError("sampling interval must be positive and finite")
+        if not 0 <= self.q < math.inf:
+            raise ValueError("process noise intensity must be nonnegative and finite")
+        if not 0 < self.filter_sigma < math.inf:
+            raise ValueError("filter sigma must be positive and finite")
         velocities = self.observer.states[:, [1, 3]]
         if np.allclose(velocities, velocities[0]):
             raise ValueError("observer must manoeuvre at least once (range observability)")
@@ -165,8 +173,8 @@ def build_canonical_scenario(**overrides) -> Scenario:
     T = float(params["T"])
     if scan_count < 2:
         raise ValueError("scan_count must be at least 2")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     if params["observer_leg_scans"] < 1:
         raise ValueError("observer_leg_scans must be at least 1")
     if params["observer_speed"] < 0 or params["target_speed"] < 0:
@@ -200,7 +208,7 @@ def build_canonical_scenario(**overrides) -> Scenario:
         T=T,
         observer=observer,
         target_init=target_init,
-        dynamics=DynamicsConfig(T=T, q=float(params["q"])),
+        q=float(params["q"]),
         true_noise=noise,
         filter_sigma=np.deg2rad(params["filter_sigma_deg"]),
         deterministic_target=bool(params["deterministic_target"]),
@@ -219,10 +227,10 @@ def nominal_target_track(scenario: Scenario) -> np.ndarray:
 
 def sample_target_track(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     """Target trajectory realisation; adds process noise unless deterministic."""
-    if scenario.deterministic_target or scenario.dynamics.q == 0:
+    if scenario.deterministic_target or scenario.q == 0:
         return nominal_target_track(scenario)
     F = transition_matrix(scenario.T)
-    chol = np.linalg.cholesky(process_noise_matrix(scenario.T, scenario.dynamics.q))
+    chol = np.linalg.cholesky(process_noise_matrix(scenario.T, scenario.q))
     track = np.empty((scenario.scan_count, 4))
     track[0] = scenario.target_init
     for k in range(1, scenario.scan_count):
@@ -259,6 +267,19 @@ class RunReport:
     collapsed: bool
 
 
+def _prior_possibility(scenario: Scenario, prior: PriorConfig, z1: float) -> GaussianPossibility:
+    """The measurement-built prior from the first bearing ``z1``."""
+    return init_prior(
+        z1,
+        scenario.observer.velocity(0),
+        range_mean=prior.range_mean,
+        range_sigma=prior.range_sigma,
+        sigma=scenario.filter_sigma,
+        vel_sigma=prior.vel_sigma,
+        covariance_form=prior.covariance_form,
+    )
+
+
 def run_single(
     scenario: Scenario,
     filter_kind: str,
@@ -283,69 +304,50 @@ def run_single(
     z = synthesize_measurements(scenario, rng_world, target)
 
     sigma = scenario.filter_sigma
-    prior_poss = init_prior(
-        z[0],
-        scenario.observer.velocity(0),
-        range_mean=prior.range_mean,
-        range_sigma=prior.range_sigma,
-        sigma=sigma,
-        vel_sigma=prior.vel_sigma,
-        covariance_form=prior.covariance_form,
+    prior_poss = _prior_possibility(scenario, prior, z[0])
+    base_transition = LinearGaussianTransition(
+        transition_matrix(scenario.T), process_noise_matrix(scenario.T, scenario.q)
     )
-
-    F = transition_matrix(scenario.T)
-    Q = process_noise_matrix(scenario.T, scenario.dynamics.q)
-    base_transition = LinearGaussianTransition(F, Q)
 
     def log_lik(states, meas):
         return bearing_log_likelihood(states, meas, sigma)
 
-    scans = scenario.scan_count
-    track = np.full((scans, 2), np.nan)
-    collapsed = False
-
+    track = np.full((scenario.scan_count, 2), np.nan)
     if filter_kind == FILTER_POSSIBILITY:
         estimator = "map-peak-set" if options.map_peak_cut > 0 else "map"
         ps = possibility_pf_init(prior_poss, n, rng_filter, options)
         with np.errstate(divide="ignore"):
             j0 = peak_set_representative(ps.states, np.log(ps.weights), options.map_peak_cut)
         track[0] = ps.states[j0][[0, 2]]
-        for k in range(1, scans):
-            U = observer_input(scenario.observer.states[k], scenario.observer.states[k - 1], scenario.T)
-            transition = base_transition.with_offset(-U)
-            try:
-                ps, record = possibility_pf_step(ps, transition, log_lik, z[k], rng_filter, k, options)
-            except AllWeightsZero:
-                collapsed = True
-                break
-            track[k] = record.estimate[[0, 2]]
+        step = partial(possibility_pf_step, options=options)
     else:
         estimator = "mmse-mean"
         ps = standard_pf_init(prior_poss, n, rng_filter)
         track[0] = ps.weights @ ps.states[:, [0, 2]]
-        for k in range(1, scans):
-            U = observer_input(scenario.observer.states[k], scenario.observer.states[k - 1], scenario.T)
-            transition = base_transition.with_offset(-U)
-            try:
-                ps, record = standard_pf_step(ps, transition.sample_model, log_lik, z[k], rng_filter, k)
-            except AllWeightsZero:
-                collapsed = True
-                break
-            track[k] = record.estimate[[0, 2]]
+        step = standard_pf_step
+
+    collapsed = False
+    for k in range(1, scenario.scan_count):
+        U = observer_input(scenario.observer.states[k], scenario.observer.states[k - 1], scenario.T)
+        try:
+            ps, record = step(ps, base_transition.with_offset(-U), log_lik, z[k], rng_filter, k)
+        except AllWeightsZero:
+            collapsed = True
+            break
+        track[k] = record.estimate[[0, 2]]
 
     pos_errors = np.linalg.norm(track - rel[:, [0, 2]], axis=1)
     if collapsed:
         pos_errors = np.where(np.isnan(pos_errors), np.inf, pos_errors)
-    divergent = collapsed or is_divergent(pos_errors[-1])
     return RunReport(
         seed=seed,
         filter_kind=filter_kind,
         particles=n,
-        process_noise=scenario.dynamics.q,
+        process_noise=scenario.q,
         estimator=estimator,
         estimate_track=track,
         pos_errors=pos_errors,
-        divergent=divergent,
+        divergent=is_divergent(pos_errors[-1]),
         collapsed=collapsed,
     )
 
@@ -471,14 +473,5 @@ def scenario_crlb(scenario: Scenario, prior: PriorConfig = PriorConfig()):
     """Position-bound curve along the nominal trajectory, from the prior spread."""
     nominal = nominal_target_track(scenario)
     rel = nominal - scenario.observer.states
-    z1 = bearings_of(rel[:1])[0]
-    prior_poss = init_prior(
-        z1,
-        scenario.observer.velocity(0),
-        range_mean=prior.range_mean,
-        range_sigma=prior.range_sigma,
-        sigma=scenario.filter_sigma,
-        vel_sigma=prior.vel_sigma,
-        covariance_form=prior.covariance_form,
-    )
-    return crlb_curve(rel, scenario.T, scenario.dynamics.q, scenario.filter_sigma, prior_poss)
+    prior_poss = _prior_possibility(scenario, prior, bearings_of(rel[:1])[0])
+    return crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior_poss)

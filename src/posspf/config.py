@@ -197,10 +197,10 @@ class Config:
         return p
 
     def n_grid(self) -> list[int]:
-        grid = [int(x) for x in self.get_float_list("experiment", "n_grid")]
-        if not grid or min(grid) < 1:
-            self._fail("experiment", "n_grid", "needs positive particle counts")
-        return grid
+        grid = self.get_float_list("experiment", "n_grid")
+        if not grid or not all(x >= 1 and x.is_integer() for x in grid):
+            self._fail("experiment", "n_grid", f"needs positive integer particle counts, got {grid}")
+        return [int(x) for x in grid]
 
     def nu_grid(self) -> list[float]:
         grid = self.get_float_list("experiment", "nu_grid")

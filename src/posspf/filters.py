@@ -54,10 +54,6 @@ class ParticleSet:
         if self.states.shape[0] != self.weights.shape[0]:
             raise ValueError("states and weights disagree on particle count")
 
-    @property
-    def count(self) -> int:
-        return self.states.shape[0]
-
 
 @dataclass(frozen=True)
 class FilterStepRecord:
@@ -110,10 +106,10 @@ class PossibilityPFOptions:
             raise ValueError(f"unknown proposal {self.proposal!r}")
         if self.transition_weighting not in ("ignorance", "gaussian"):
             raise ValueError(f"unknown transition weighting {self.transition_weighting!r}")
-        if self.proposal_inflation <= 0:
-            raise ValueError("proposal inflation must be positive")
-        if self.map_peak_cut < 0:
-            raise ValueError("map peak cut must be nonnegative")
+        if not 0 < self.proposal_inflation < np.inf:
+            raise ValueError("proposal inflation must be positive and finite")
+        if not 0 <= self.map_peak_cut < np.inf:
+            raise ValueError("map peak cut must be nonnegative and finite")
 
 
 TEXTBOOK_OPTIONS = PossibilityPFOptions(
@@ -196,6 +192,14 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
         return np.log(weights)
 
 
+def _finite_peak(log_w: np.ndarray, scan_index: int) -> float:
+    """Largest log weight; raises :class:`AllWeightsZero` if it is not finite."""
+    peak = log_w.max()
+    if not np.isfinite(peak):
+        raise AllWeightsZero(f"peak log-weight {peak} at scan {scan_index}")
+    return peak
+
+
 def peak_set_representative(states: np.ndarray, norm_log_weights: np.ndarray, cut: float) -> int:
     """Index of the maximum-possibility representative particle.
 
@@ -236,23 +240,6 @@ def possibility_pf_init(
     return ParticleSet(states, np.exp(log_w))
 
 
-def possibility_pf_predict_update(
-    ps: ParticleSet,
-    transition: LinearGaussianTransition,
-    log_likelihood,
-    z,
-    rng: np.random.Generator,
-    options: PossibilityPFOptions = PossibilityPFOptions(),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate support and accumulate weights; returns (predicted, raw log weights)."""
-    predicted = transition.propose(ps.states, rng, options)
-    log_w = _log_weights(ps.weights)
-    if options.transition_weighting == "gaussian":
-        log_w = log_w + transition.log_possibility_of_move(predicted, ps.states)
-    log_w = log_w + log_likelihood(predicted, z)
-    return predicted, log_w
-
-
 def possibility_pf_resample(
     predicted: np.ndarray,
     norm_weights: np.ndarray,
@@ -280,10 +267,12 @@ def possibility_pf_step(
     positive finite number (filter collapse; callers report the run as
     divergent).
     """
-    predicted, log_w = possibility_pf_predict_update(ps, transition, log_likelihood, z, rng, options)
-    peak = log_w.max()
-    if not np.isfinite(peak):
-        raise AllWeightsZero(f"peak log-weight {peak} at scan {scan_index}")
+    predicted = transition.propose(ps.states, rng, options)
+    log_w = _log_weights(ps.weights)
+    if options.transition_weighting == "gaussian":
+        log_w = log_w + transition.log_possibility_of_move(predicted, ps.states)
+    log_w = log_w + log_likelihood(predicted, z)
+    peak = _finite_peak(log_w, scan_index)
     norm_log_w = log_w - peak
     j = peak_set_representative(predicted, norm_log_w, options.map_peak_cut)
     record = FilterStepRecord(
@@ -314,19 +303,16 @@ def standard_pf_init(prior: GaussianPossibility, n: int, rng: np.random.Generato
 
 def standard_pf_step(
     ps: ParticleSet,
-    transition_sampler,
+    transition: LinearGaussianTransition,
     log_likelihood,
     z,
     rng: np.random.Generator,
     scan_index: int,
 ) -> tuple[ParticleSet, FilterStepRecord]:
-    """One SIR cycle: propagate, weight, MMSE estimate, systematic resampling."""
-    states = transition_sampler(ps.states, rng)
+    """One SIR cycle: propagate through the model, weight, MMSE estimate, systematic resampling."""
+    states = transition.sample_model(ps.states, rng)
     log_w = _log_weights(ps.weights) + log_likelihood(states, z)
-    peak = log_w.max()
-    if not np.isfinite(peak):
-        raise AllWeightsZero(f"peak log-weight {peak} at scan {scan_index}")
-    w = np.exp(log_w - peak)
+    w = np.exp(log_w - _finite_peak(log_w, scan_index))
     w /= w.sum()
     record = FilterStepRecord(
         scan_index=scan_index,

@@ -227,11 +227,6 @@ def water_pour_continuous(pi: GaussianPossibility, tol: float = 1e-12) -> WaterP
     return WaterPouredDensity(pi, level=lam, plateau_radius=r, plateau_mass=min(plateau_mass, 1.0))
 
 
-def sample_water_poured(poured: WaterPouredDensity, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-    """Draw exact samples from a water-poured density; returns shape (size, d)."""
-    return poured.sample(rng, size)
-
-
 def water_pour_discrete(weights) -> DiscreteWaterPour:
     """Exact discrete water pouring: pmf[j] = min(w[j], level), sum = 1.
 

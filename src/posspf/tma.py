@@ -61,58 +61,18 @@ def process_noise_matrix(T: float, q: float) -> np.ndarray:
     return Q
 
 
-def bearing(state) -> float:
-    """Bearing of a relative state, radians clockwise from north, in (-pi, pi]."""
-    s = np.asarray(state, dtype=float)
-    x, y = (s[0], s[1]) if s.shape[0] == 2 else (s[0], s[2])
-    if x == 0.0 and y == 0.0:
-        raise AtOrigin("bearing undefined at zero range")
-    return float(np.arctan2(x, y))
-
-
 def bearings_of(states: np.ndarray) -> np.ndarray:
-    """Vectorised bearing for an (n, 4) array of relative states."""
+    """Bearings of an (n, 4) array of relative states, radians clockwise from north."""
     x, y = states[:, 0], states[:, 2]
     if np.any((x == 0.0) & (y == 0.0)):
         raise AtOrigin("bearing undefined at zero range")
     return np.arctan2(x, y)
 
 
-def transition_possibility(x_prev, F: np.ndarray, U: np.ndarray, Q: np.ndarray) -> GaussianPossibility:
-    """One-scan transition model as a Gaussian possibility.
-
-    Mean F @ x_prev - U, spread Q.
-    """
-    x_prev = np.asarray(x_prev, dtype=float)
-    return GaussianPossibility(F @ x_prev - np.asarray(U, dtype=float), Q)
-
-
 def bearing_log_likelihood(states: np.ndarray, z: float, sigma: float) -> np.ndarray:
     """Log of the Gaussian-shaped bearing likelihood, residual wrapped to (-pi, pi]."""
     res = wrap_angle(z - bearings_of(np.atleast_2d(states)))
     return -0.5 * (res / sigma) ** 2
-
-
-def bearing_likelihood(state, z: float, sigma: float) -> float:
-    """Bearing likelihood in (0, 1]; peak 1 when the measurement matches exactly."""
-    if sigma <= 0:
-        raise ValueError("bearing noise sigma must be positive")
-    res = wrap_angle(z - bearing(state))
-    return float(np.exp(-0.5 * (res / sigma) ** 2))
-
-
-@dataclass(frozen=True)
-class DynamicsConfig:
-    """Sampling interval and process-noise intensity of the CV model."""
-
-    T: float
-    q: float
-
-    def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("sampling interval must be positive")
-        if self.q < 0:
-            raise ValueError("process noise intensity must be nonnegative")
 
 
 class ObserverTrajectory:
@@ -161,8 +121,8 @@ def init_prior(
     (``covariance_form="consistent"``); ``"swapped"`` swaps the two
     position variances while keeping the same cross term.
     """
-    if min(range_mean, range_sigma, sigma, vel_sigma[0], vel_sigma[1]) <= 0:
-        raise ValueError("prior scale parameters must be positive")
+    if not all(0 < v < np.inf for v in (range_mean, range_sigma, sigma, *vel_sigma)):
+        raise ValueError("prior scale parameters must be positive and finite")
     if covariance_form not in ("consistent", "swapped"):
         raise ValueError(f"unknown covariance form {covariance_form!r}")
 

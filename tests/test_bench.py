@@ -156,11 +156,37 @@ def test_divergence_threshold_is_strict():
     assert not is_divergent(999.9)
 
 
+@pytest.mark.parametrize(
+    "final_error, divergent", [(math.nan, True), (math.inf, True), (1000.0, False), (1000.1, True)]
+)
+def test_non_finite_final_error_is_divergent(final_error, divergent):
+    assert is_divergent(final_error) is divergent
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"T": math.inf},
+        {"T": math.nan},
+        {"q": -1e-3},
+        {"q": math.nan},
+        {"q": math.inf},
+        {"filter_sigma_deg": math.nan},
+        {"noise_sigma_deg": math.nan},
+        {"noise_sigma_deg": math.inf},
+        {"noise_kind": "student-t", "noise_nu": math.nan},
+    ],
+)
+def test_non_finite_scenario_values_rejected(override):
+    with pytest.raises(ValueError):
+        build_canonical_scenario(**override)
+
+
 def test_report_metadata_fields():
     s = build_canonical_scenario()
     report = run_single(s, FILTER_POSSIBILITY, 50, 11)
     assert report.particles == 50
-    assert report.process_noise == s.dynamics.q
+    assert report.process_noise == s.q
     assert report.filter_kind == FILTER_POSSIBILITY
 
 

@@ -103,6 +103,30 @@ def test_run_bad_config_names_key(tmp_path, capsys):
     assert "kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("crlb", "filter.sigma_deg=nan"),
+        ("crlb", "scenario.sample_time_s=inf"),
+        ("run", "filter.proposal_inflation=nan"),
+        ("run", "scenario.noise_sigma_deg=nan"),
+    ],
+)
+def test_non_finite_input_exits_2_and_writes_no_csv(tmp_path, capsys, command, override):
+    out = tmp_path / "out"
+    code = main([command, "--set", override, "--set", f"output.directory={out}"] + FAST_RUN)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fractional_particle_count_exits_2_naming_n_grid(tmp_path, capsys):
+    code = main(["table1", "--set", "experiment.n_grid=2.7", "--set", f"output.directory={tmp_path}"])
+    assert code == 2
+    assert "[experiment] n_grid" in capsys.readouterr().err
+    assert not (tmp_path / "table1.csv").exists()
+
+
 def test_run_unwritable_output_is_runtime_error(capsys):
     code = main(["run", "--set", "output.directory=/proc/not-writable"] + FAST_RUN)
     assert code == 1

@@ -13,7 +13,6 @@ from posspf.filters import (
     PossibilityPFOptions,
     peak_set_representative,
     possibility_pf_init,
-    possibility_pf_predict_update,
     possibility_pf_resample,
     possibility_pf_step,
     standard_pf_init,
@@ -87,6 +86,22 @@ def test_single_particle_tracks_deterministic_propagation():
     assert ps.weights[0] == 1.0
 
 
+@pytest.mark.parametrize(
+    "knob",
+    [
+        {"proposal_inflation": math.nan},
+        {"proposal_inflation": math.inf},
+        {"proposal_inflation": 0.0},
+        {"map_peak_cut": math.nan},
+        {"map_peak_cut": math.inf},
+        {"map_peak_cut": -0.1},
+    ],
+)
+def test_non_finite_options_rejected(knob):
+    with pytest.raises(ValueError):
+        PossibilityPFOptions(**knob)
+
+
 @pytest.mark.parametrize("options", ALL_OPTION_SETS)
 def test_single_particle_weight_stays_one(options):
     transition = LinearGaussianTransition([[1.0]], [[1.0]])
@@ -120,7 +135,7 @@ def test_standard_weights_sum_to_one_after_every_step():
     ps = standard_pf_init(prior, 300, rng)
     transition = LinearGaussianTransition([[1.0]], [[1.0]])
     for k in range(1, 8):
-        ps, _ = standard_pf_step(ps, transition.sample_model, toy_log_likelihood, z[k], rng, k)
+        ps, _ = standard_pf_step(ps, transition, toy_log_likelihood, z[k], rng, k)
         assert ps.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -128,7 +143,7 @@ def test_standard_single_particle_estimate_is_the_particle():
     transition = LinearGaussianTransition([[1.0]], [[1.0]])
     ps = ParticleSet(np.array([[5.0]]), np.array([1.0]))
     rng = np.random.default_rng(10)
-    ps, record = standard_pf_step(ps, transition.sample_model, lambda s, z: np.zeros(1), 0.0, rng, 1)
+    ps, record = standard_pf_step(ps, transition, lambda s, z: np.zeros(1), 0.0, rng, 1)
     assert record.estimate[0] == ps.states[0, 0]
 
 
@@ -146,9 +161,7 @@ def test_map_estimate_is_a_predicted_particle(options):
     for k in range(1, 6):
         # Replay the prediction with an identically seeded stream, then step.
         replay_rng = np.random.default_rng((77, k))
-        predicted, _ = possibility_pf_predict_update(
-            ps, transition, toy_log_likelihood, z[k], replay_rng, options
-        )
+        predicted = transition.propose(ps.states, replay_rng, options)
         step_rng = np.random.default_rng((77, k))
         ps, record = possibility_pf_step(ps, transition, toy_log_likelihood, z[k], step_rng, k, options)
         assert any(np.array_equal(record.estimate, row) for row in predicted)
@@ -183,7 +196,7 @@ def test_all_weights_zero_raises():
     with pytest.raises(AllWeightsZero):
         possibility_pf_step(ps, transition, dead, 0.0, np.random.default_rng(14), 1)
     with pytest.raises(AllWeightsZero):
-        standard_pf_step(ps, transition.sample_model, dead, 0.0, np.random.default_rng(15), 1)
+        standard_pf_step(ps, transition, dead, 0.0, np.random.default_rng(15), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from posspf.possq import (
     normalize_density_to_possibility,
     possibility_of_event,
     sample_discrete,
-    sample_water_poured,
     water_pour_continuous,
     water_pour_discrete,
 )
@@ -272,7 +271,7 @@ def test_sampler_mean_symmetric_2d():
 
 def test_sample_water_poured_function_shape():
     poured = water_pour_continuous(GaussianPossibility([0.0, 0.0], np.eye(2) * 2.0))
-    out = sample_water_poured(poured, np.random.default_rng(0), 7)
+    out = poured.sample(np.random.default_rng(0), 7)
     assert out.shape == (7, 2)
 
 

@@ -8,24 +8,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posspf.bench import build_canonical_scenario, nominal_target_track
+from posspf.filters import LinearGaussianTransition
 from posspf.possq import GaussianPossibility
 from posspf.tma import (
     AtOrigin,
     ObserverTrajectory,
-    bearing,
     bearing_jacobian,
-    bearing_likelihood,
     bearing_log_likelihood,
+    bearings_of,
     crlb_curve,
     init_prior,
     observer_input,
     process_noise_matrix,
     transition_matrix,
-    transition_possibility,
     wrap_angle,
 )
 
 DEG = math.pi / 180.0
+
+
+def _bearing(state) -> float:
+    """Bearing of one relative state through the vectorised function."""
+    return float(bearings_of(np.array([state], dtype=float))[0])
+
+
+def _likelihood(state, z: float, sigma: float) -> float:
+    """Bearing likelihood of one relative state through the vectorised log-likelihood."""
+    return math.exp(bearing_log_likelihood(np.array([state], dtype=float), z, sigma)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -122,20 +131,20 @@ def test_observer_input_canonical_turn_is_velocity_only():
 
 
 def test_bearing_due_north_is_zero():
-    assert bearing([0.0, 0.0, 10e3, 0.0]) == 0.0
+    assert _bearing([0.0, 0.0, 10e3, 0.0]) == 0.0
 
 
 def test_bearing_due_east_is_half_pi():
-    assert bearing([10e3, 0.0, 0.0, 0.0]) == pytest.approx(math.pi / 2)
+    assert _bearing([10e3, 0.0, 0.0, 0.0]) == pytest.approx(math.pi / 2)
 
 
 def test_bearing_third_quadrant():
-    assert bearing([-1.0, 0.0, -1.0, 0.0]) == pytest.approx(-3 * math.pi / 4)
+    assert _bearing([-1.0, 0.0, -1.0, 0.0]) == pytest.approx(-3 * math.pi / 4)
 
 
 def test_bearing_at_origin_raises():
     with pytest.raises(AtOrigin):
-        bearing([0.0, 0.0, 0.0, 0.0])
+        _bearing([0.0, 0.0, 0.0, 0.0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -147,8 +156,8 @@ def test_bearing_at_origin_raises():
 def test_bearing_scale_invariance(x, y, k):
     if abs(x) < 1e-6 and abs(y) < 1e-6:
         return
-    assert bearing([k * x, 0.0, k * y, 0.0]) == pytest.approx(
-        bearing([x, 0.0, y, 0.0]), abs=1e-12
+    assert _bearing([k * x, 0.0, k * y, 0.0]) == pytest.approx(
+        _bearing([x, 0.0, y, 0.0]), abs=1e-12
     )
 
 
@@ -161,7 +170,7 @@ def test_transition_possibility_zero_state():
     T, q = 40.0, 1e-3
     F = transition_matrix(T)
     Q = process_noise_matrix(T, q)
-    phi = transition_possibility(np.zeros(4), F, np.zeros(4), Q)
+    phi = LinearGaussianTransition(F, Q).possibility(np.zeros(4))
     np.testing.assert_array_equal(phi.mean, np.zeros(4))
     np.testing.assert_array_equal(phi.spread, Q)
 
@@ -169,7 +178,7 @@ def test_transition_possibility_zero_state():
 def test_transition_possibility_peak_at_own_mean():
     F = transition_matrix(40.0)
     Q = process_noise_matrix(40.0, 1e-3)
-    phi = transition_possibility([1.0, 2.0, 3.0, 4.0], F, [0.1, 0.0, -0.2, 0.0], Q)
+    phi = LinearGaussianTransition(F, Q, [-0.1, 0.0, 0.2, 0.0]).possibility([1.0, 2.0, 3.0, 4.0])
     assert phi.eval(phi.mean) == 1.0
 
 
@@ -178,9 +187,9 @@ def test_transition_possibility_canonical_second_scan():
     track = nominal_target_track(scenario)
     rel = track - scenario.observer.states
     F = transition_matrix(scenario.T)
-    Q = process_noise_matrix(scenario.T, scenario.dynamics.q)
+    Q = process_noise_matrix(scenario.T, scenario.q)
     U = observer_input(scenario.observer.states[1], scenario.observer.states[0], scenario.T)
-    phi = transition_possibility(rel[0], F, U, Q)
+    phi = LinearGaussianTransition(F, Q, -U).possibility(rel[0])
     np.testing.assert_allclose(phi.mean, rel[1], atol=1e-9)
 
 
@@ -190,27 +199,28 @@ def test_transition_mean_is_linear(state):
     F = transition_matrix(40.0)
     Q = process_noise_matrix(40.0, 1e-3)
     x = np.array(state)
-    double = transition_possibility(2 * x, F, np.zeros(4), Q).mean
-    single = transition_possibility(x, F, np.zeros(4), Q).mean
+    transition = LinearGaussianTransition(F, Q)
+    double = transition.possibility(2 * x).mean
+    single = transition.possibility(x).mean
     np.testing.assert_allclose(double, 2 * single, atol=1e-9)
 
 
 def test_likelihood_peak_at_true_bearing():
     state = [3e3, 0.0, 4e3, 0.0]
-    z = bearing(state)
-    assert bearing_likelihood(state, z, 1.0 * DEG) == 1.0
+    z = _bearing(state)
+    assert _likelihood(state, z, 1.0 * DEG) == 1.0
 
 
 def test_likelihood_one_sigma_residual():
     state = [0.0, 0.0, 10e3, 0.0]
     sigma = 1.0 * DEG
-    assert bearing_likelihood(state, sigma, sigma) == pytest.approx(math.exp(-0.5), rel=1e-12)
+    assert _likelihood(state, sigma, sigma) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
 
 def test_likelihood_wraps_two_pi():
     state = [5e3, 0.0, 5e3, 0.0]
-    z = bearing(state) + 2 * math.pi
-    assert bearing_likelihood(state, z, 1.0 * DEG) == pytest.approx(1.0, abs=1e-9)
+    z = _bearing(state) + 2 * math.pi
+    assert _likelihood(state, z, 1.0 * DEG) == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -221,8 +231,8 @@ def test_likelihood_wraps_two_pi():
 def test_likelihood_two_pi_periodic(z, turns):
     state = [2e3, 0.0, 7e3, 0.0]
     sigma = 1.0 * DEG
-    assert bearing_likelihood(state, z + 2 * math.pi * turns, sigma) == pytest.approx(
-        bearing_likelihood(state, z, sigma), rel=1e-9
+    assert _likelihood(state, z + 2 * math.pi * turns, sigma) == pytest.approx(
+        _likelihood(state, z, sigma), rel=1e-9
     )
 
 
@@ -231,8 +241,27 @@ def test_log_likelihood_matches_scalar():
     sigma = 1.0 * DEG
     z = 0.05
     logs = bearing_log_likelihood(states, z, sigma)
-    for row, lv in zip(states, logs):
-        assert math.exp(lv) == pytest.approx(bearing_likelihood(row, z, sigma), rel=1e-12)
+    for (x, _, y, _), lv in zip(states, logs):
+        res = wrap_angle(z - math.atan2(x, y))
+        assert lv == pytest.approx(-0.5 * (res / sigma) ** 2, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    x=st.floats(min_value=-100.0, max_value=100.0),
+    y=st.floats(min_value=-1e5, max_value=-1e3),
+    offset=st.floats(min_value=-3 * DEG, max_value=3 * DEG),
+)
+def test_bearing_and_likelihood_across_the_wrap_due_south(x, y, offset):
+    # A target due south of the observer sits on the +-pi seam of the bearing.
+    state = np.array([[x, 0.0, y, 0.0]])
+    beta = bearings_of(state)[0]
+    assert abs(wrap_angle(beta - math.pi)) == pytest.approx(math.atan(abs(x) / -y), abs=1e-12)
+    z = wrap_angle(beta + offset)
+    sigma = 1.0 * DEG
+    assert bearing_log_likelihood(state, z, sigma)[0] == pytest.approx(
+        -0.5 * (offset / sigma) ** 2, abs=1e-9
+    )
 
 
 def test_wrap_angle_range():
@@ -244,6 +273,15 @@ def test_wrap_angle_range():
 # ---------------------------------------------------------------------------
 # initial prior
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [{"range_mean": math.nan}, {"range_sigma": math.inf}, {"sigma": math.nan}, {"vel_sigma": (2.6, 0.0)}],
+)
+def test_init_prior_rejects_non_finite_scales(scale):
+    with pytest.raises(ValueError, match="positive and finite"):
+        init_prior(0.0, (0.0, 7.5), **scale)
 
 
 def test_init_prior_due_north_consistent_orientation():
@@ -303,7 +341,7 @@ def test_crlb_first_scan_is_prior_spread():
     scenario = build_canonical_scenario()
     rel = nominal_target_track(scenario) - scenario.observer.states
     prior = init_prior(0.0, scenario.observer.velocity(0))
-    result = crlb_curve(rel, scenario.T, scenario.dynamics.q, scenario.filter_sigma, prior)
+    result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
     np.testing.assert_allclose(result.bounds[0], prior.spread)
 
 
@@ -316,7 +354,7 @@ def test_crlb_canonical_curve_finite_and_improving():
     scenario = build_canonical_scenario()
     rel = nominal_target_track(scenario) - scenario.observer.states
     prior = init_prior(0.0, scenario.observer.velocity(0))
-    result = crlb_curve(rel, scenario.T, scenario.dynamics.q, scenario.filter_sigma, prior)
+    result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
     assert result.singular_scans == []
     assert np.all(np.isfinite(result.position_bound))
     # Range becomes observable at the first manoeuvre (scan 11): the bound
@@ -332,7 +370,7 @@ def test_crlb_bounds_are_positive_definite_every_scan():
     scenario = build_canonical_scenario()
     rel = nominal_target_track(scenario) - scenario.observer.states
     prior = init_prior(0.0, scenario.observer.velocity(0))
-    result = crlb_curve(rel, scenario.T, scenario.dynamics.q, scenario.filter_sigma, prior)
+    result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
     for bound in result.bounds:
         np.linalg.cholesky(bound + bound.T)  # symmetrise against roundoff
 
