@@ -10,8 +10,6 @@ from .possq import (
     TooConcentrated,
     WaterPouredDensity,
     WeightsOutOfRange,
-    normalize_density_to_possibility,
-    possibility_of_event,
     sample_discrete,
     water_pour_continuous,
     water_pour_discrete,
@@ -22,7 +20,6 @@ from .filters import (
     LinearGaussianTransition,
     ParticleSet,
     PossibilityPFOptions,
-    TEXTBOOK_OPTIONS,
     possibility_pf_init,
     possibility_pf_resample,
     possibility_pf_step,
@@ -34,6 +31,7 @@ from .tma import (
     AtOrigin,
     CrlbResult,
     ObserverTrajectory,
+    PriorConfig,
     bearing_log_likelihood,
     bearings_of,
     crlb_curve,
@@ -46,7 +44,6 @@ from .tma import (
 from .bench import (
     BatchResult,
     NoiseModel,
-    PriorConfig,
     RunReport,
     Scenario,
     Table1Cell,

@@ -31,6 +31,7 @@ from .filters import (
 from .possq import GaussianPossibility
 from .tma import (
     ObserverTrajectory,
+    PriorConfig,
     bearing_log_likelihood,
     bearings_of,
     crlb_curve,
@@ -90,16 +91,6 @@ class NoiseModel:
         if self.kind == "student-t" and math.isfinite(self.nu):
             draws = draws / np.sqrt(rng.chisquare(self.nu, size) / self.nu)
         return draws
-
-
-@dataclass(frozen=True)
-class PriorConfig:
-    """Parameters of the measurement-based initial prior."""
-
-    range_mean: float = 10e3
-    range_sigma: float = 3.5e3
-    vel_sigma: tuple[float, float] = (2.6, 2.6)
-    covariance_form: str = "consistent"
 
 
 @dataclass(frozen=True)
@@ -171,8 +162,6 @@ def build_canonical_scenario(**overrides) -> Scenario:
 
     scan_count = int(params["scan_count"])
     T = float(params["T"])
-    if scan_count < 2:
-        raise ValueError("scan_count must be at least 2")
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
     if params["observer_leg_scans"] < 1:
@@ -230,11 +219,11 @@ def sample_target_track(scenario: Scenario, rng: np.random.Generator) -> np.ndar
     if scenario.deterministic_target or scenario.q == 0:
         return nominal_target_track(scenario)
     F = transition_matrix(scenario.T)
-    chol = np.linalg.cholesky(process_noise_matrix(scenario.T, scenario.q))
+    noise = GaussianPossibility(np.zeros(4), process_noise_matrix(scenario.T, scenario.q))
     track = np.empty((scenario.scan_count, 4))
     track[0] = scenario.target_init
     for k in range(1, scenario.scan_count):
-        track[k] = F @ track[k - 1] + chol @ rng.standard_normal(4)
+        track[k] = F @ track[k - 1] + noise.sample(rng, 1)[0]
     return track
 
 
@@ -259,25 +248,10 @@ class RunReport:
     seed: int
     filter_kind: str
     particles: int
-    process_noise: float
-    estimator: str
     estimate_track: np.ndarray  # (scans, 2) position estimates
     pos_errors: np.ndarray      # (scans,) metres
     divergent: bool
     collapsed: bool
-
-
-def _prior_possibility(scenario: Scenario, prior: PriorConfig, z1: float) -> GaussianPossibility:
-    """The measurement-built prior from the first bearing ``z1``."""
-    return init_prior(
-        z1,
-        scenario.observer.velocity(0),
-        range_mean=prior.range_mean,
-        range_sigma=prior.range_sigma,
-        sigma=scenario.filter_sigma,
-        vel_sigma=prior.vel_sigma,
-        covariance_form=prior.covariance_form,
-    )
 
 
 def run_single(
@@ -304,8 +278,8 @@ def run_single(
     z = synthesize_measurements(scenario, rng_world, target)
 
     sigma = scenario.filter_sigma
-    prior_poss = _prior_possibility(scenario, prior, z[0])
-    base_transition = LinearGaussianTransition(
+    prior_poss = init_prior(z[0], scenario.observer.velocity(0), sigma, prior)
+    transition = LinearGaussianTransition(
         transition_matrix(scenario.T), process_noise_matrix(scenario.T, scenario.q)
     )
 
@@ -314,14 +288,12 @@ def run_single(
 
     track = np.full((scenario.scan_count, 2), np.nan)
     if filter_kind == FILTER_POSSIBILITY:
-        estimator = "map-peak-set" if options.map_peak_cut > 0 else "map"
         ps = possibility_pf_init(prior_poss, n, rng_filter, options)
         with np.errstate(divide="ignore"):
             j0 = peak_set_representative(ps.states, np.log(ps.weights), options.map_peak_cut)
         track[0] = ps.states[j0][[0, 2]]
         step = partial(possibility_pf_step, options=options)
     else:
-        estimator = "mmse-mean"
         ps = standard_pf_init(prior_poss, n, rng_filter)
         track[0] = ps.weights @ ps.states[:, [0, 2]]
         step = standard_pf_step
@@ -329,8 +301,9 @@ def run_single(
     collapsed = False
     for k in range(1, scenario.scan_count):
         U = observer_input(scenario.observer.states[k], scenario.observer.states[k - 1], scenario.T)
+        transition.offset = -U
         try:
-            ps, record = step(ps, base_transition.with_offset(-U), log_lik, z[k], rng_filter, k)
+            ps, record = step(ps, transition, log_lik, z[k], rng_filter, k)
         except AllWeightsZero:
             collapsed = True
             break
@@ -343,8 +316,6 @@ def run_single(
         seed=seed,
         filter_kind=filter_kind,
         particles=n,
-        process_noise=scenario.q,
-        estimator=estimator,
         estimate_track=track,
         pos_errors=pos_errors,
         divergent=is_divergent(pos_errors[-1]),
@@ -473,5 +444,6 @@ def scenario_crlb(scenario: Scenario, prior: PriorConfig = PriorConfig()):
     """Position-bound curve along the nominal trajectory, from the prior spread."""
     nominal = nominal_target_track(scenario)
     rel = nominal - scenario.observer.states
-    prior_poss = _prior_possibility(scenario, prior, bearings_of(rel[:1])[0])
+    z1 = bearings_of(rel[:1])[0]
+    prior_poss = init_prior(z1, scenario.observer.velocity(0), scenario.filter_sigma, prior)
     return crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior_poss)

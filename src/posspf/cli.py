@@ -2,7 +2,8 @@
 
 Commands
 --------
-run     Monte Carlo batch of one filter; writes rms.csv and runs.csv.
+run     Monte Carlo batch of one filter; writes rms.csv and runs.csv
+        (only runs.csv, with exit code 1, when every run diverges).
 table1  Divergence-percentage grid over particle counts and Student-t
         tails for both filters; writes table1.csv.
 crlb    Position-bound reference curve; writes crlb.csv.
@@ -63,21 +64,25 @@ def cmd_run(cfg: Config) -> int:
     meta = _meta(cfg)
 
     _write_csv(
-        os.path.join(outdir, "rms.csv"),
-        meta,
-        ["scan", "time_s", "rms_m", "crlb_m", "n_alive_runs"],
-        (
-            (k + 1, k * scenario.T, float(batch.rms_m[k]), float(bound[k]), batch.n_alive)
-            for k in range(scenario.scan_count)
-        ),
-    )
-    _write_csv(
         os.path.join(outdir, "runs.csv"),
         meta,
         ["run", "seed", "final_err_m", "divergent"],
         (
             (i, r.seed, float(r.pos_errors[-1]), int(r.divergent))
             for i, r in enumerate(batch.reports)
+        ),
+    )
+    if batch.n_alive == 0:
+        # The RMS curve averages over converged runs only; with none it is undefined.
+        print(f"error: all {batch.n_runs} runs diverged; rms.csv not written", file=sys.stderr)
+        return 1
+    _write_csv(
+        os.path.join(outdir, "rms.csv"),
+        meta,
+        ["scan", "time_s", "rms_m", "crlb_m", "n_alive_runs"],
+        (
+            (k + 1, k * scenario.T, float(batch.rms_m[k]), float(bound[k]), batch.n_alive)
+            for k in range(scenario.scan_count)
         ),
     )
     print(

@@ -14,8 +14,9 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .bench import NoiseModel, PriorConfig, Scenario, build_canonical_scenario
+from .bench import Scenario, build_canonical_scenario
 from .filters import PossibilityPFOptions
+from .tma import PriorConfig
 
 KNOT = 1852.0 / 3600.0  # metres per second
 

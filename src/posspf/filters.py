@@ -19,14 +19,12 @@ the per-scan peak, so sharply peaked likelihoods cannot underflow.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .possq import (
     GaussianPossibility,
-    WaterPouredDensity,
     sample_discrete,
     water_pour_continuous,
     water_pour_discrete,
@@ -112,79 +110,41 @@ class PossibilityPFOptions:
             raise ValueError("map peak cut must be nonnegative and finite")
 
 
-TEXTBOOK_OPTIONS = PossibilityPFOptions(
-    proposal="max-entropy",
-    transition_weighting="gaussian",
-    proposal_inflation=1.0,
-    map_peak_cut=0.0,
-)
-
-
 class LinearGaussianTransition:
     """Transition whose possibility is Gaussian with mean A x + b, fixed spread.
 
-    The heavy pieces (Cholesky factors, the water-poured proposal) are
-    cached and shared across per-scan copies created with
-    :meth:`with_offset`.
+    ``noise`` is the zero-mean Gaussian possibility of the move.  Proposals
+    (the inflated Gaussian or its water-poured density) are built once per
+    (proposal, inflation) and reused when ``offset`` is reassigned per scan.
     """
 
     def __init__(self, matrix, spread, offset=None):
         self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        self.spread = np.atleast_2d(np.asarray(spread, dtype=float))
         d = self.matrix.shape[0]
+        self.noise = GaussianPossibility(np.zeros(d), spread)
         self.offset = np.zeros(d) if offset is None else np.atleast_1d(np.asarray(offset, dtype=float))
-        self.chol = np.linalg.cholesky(self.spread)
-        self._cache: dict = {}
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def with_offset(self, offset) -> "LinearGaussianTransition":
-        """Same model with a different deterministic offset; caches shared."""
-        clone = copy.copy(self)
-        clone.offset = np.atleast_1d(np.asarray(offset, dtype=float))
-        return clone
-
-    def possibility(self, x) -> GaussianPossibility:
-        """Transition possibility of the next state given one current state."""
-        return GaussianPossibility(self.matrix @ np.asarray(x, dtype=float) + self.offset, self.spread)
+        self._proposals: dict = {}
 
     def means(self, states: np.ndarray) -> np.ndarray:
         return states @ self.matrix.T + self.offset
 
-    def _proposal_chol(self, inflation: float) -> np.ndarray:
-        key = ("chol", inflation)
-        if key not in self._cache:
-            self._cache[key] = np.linalg.cholesky(self.spread * inflation)
-        return self._cache[key]
-
-    def _proposal_pour(self, inflation: float) -> WaterPouredDensity:
-        key = ("pour", inflation)
-        if key not in self._cache:
-            centred = GaussianPossibility(np.zeros(self.dim), self.spread * inflation)
-            self._cache[key] = water_pour_continuous(centred)
-        return self._cache[key]
-
     def propose(self, states: np.ndarray, rng: np.random.Generator, options: PossibilityPFOptions) -> np.ndarray:
         """Draw one successor support point per particle."""
-        means = self.means(states)
-        n = states.shape[0]
-        if options.proposal == "max-entropy":
-            moves = self._proposal_pour(options.proposal_inflation).sample(rng, n)
-        else:
-            moves = rng.standard_normal((n, self.dim)) @ self._proposal_chol(options.proposal_inflation).T
-        return means + moves
+        key = (options.proposal, options.proposal_inflation)
+        if key not in self._proposals:
+            proposal = GaussianPossibility(self.noise.mean, self.noise.spread * options.proposal_inflation)
+            if options.proposal == "max-entropy":
+                proposal = water_pour_continuous(proposal)
+            self._proposals[key] = proposal
+        return self.means(states) + self._proposals[key].sample(rng, states.shape[0])
 
     def log_possibility_of_move(self, proposed: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Log Gaussian transition possibility of each drawn move."""
-        dev = np.linalg.solve(self.chol, (proposed - self.means(states)).T)
-        return -0.5 * np.einsum("ij,ij->j", dev, dev)
+        return self.noise.log_eval(proposed - self.means(states))
 
     def sample_model(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Probabilistic propagation through the un-inflated Gaussian model."""
-        noise = rng.standard_normal((states.shape[0], self.dim)) @ self.chol.T
-        return self.means(states) + noise
+        return self.means(states) + self.noise.sample(rng, states.shape[0])
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -231,10 +191,8 @@ def possibility_pf_init(
     """
     if n < 1:
         raise ValueError("particle count must be at least 1")
-    if options.proposal == "max-entropy":
-        states = water_pour_continuous(prior).sample(rng, n)
-    else:
-        states = prior.mean + rng.standard_normal((n, prior.dim)) @ prior.chol.T
+    source = water_pour_continuous(prior) if options.proposal == "max-entropy" else prior
+    states = source.sample(rng, n)
     log_w = prior.log_eval(states)
     log_w = log_w - log_w.max()
     return ParticleSet(states, np.exp(log_w))
@@ -297,8 +255,7 @@ def standard_pf_init(prior: GaussianPossibility, n: int, rng: np.random.Generato
     """Bootstrap initialisation: Gaussian prior samples, uniform weights."""
     if n < 1:
         raise ValueError("particle count must be at least 1")
-    states = prior.mean + rng.standard_normal((n, prior.dim)) @ prior.chol.T
-    return ParticleSet(states, np.full(n, 1.0 / n))
+    return ParticleSet(prior.sample(rng, n), np.full(n, 1.0 / n))
 
 
 def standard_pf_step(

@@ -55,7 +55,7 @@ class GaussianPossibility:
         covariance).  Checked by Cholesky factorisation at construction.
     """
 
-    __slots__ = ("mean", "spread", "chol", "_sqrt_det")
+    __slots__ = ("mean", "spread", "chol", "sqrt_det")
 
     def __init__(self, mean, spread):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
@@ -69,39 +69,32 @@ class GaussianPossibility:
             self.chol = np.linalg.cholesky(self.spread)
         except np.linalg.LinAlgError as exc:
             raise ValueError("spread matrix is not positive definite") from exc
-        self._sqrt_det = float(np.prod(np.diag(self.chol)))
+        self.sqrt_det = float(np.prod(np.diag(self.chol)))
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
     @property
-    def sqrt_det_spread(self) -> float:
-        return self._sqrt_det
-
-    @property
     def total_mass(self) -> float:
         """Integral of the possibility function over the whole space."""
-        return (2.0 * math.pi) ** (self.dim / 2.0) * self._sqrt_det
+        return (2.0 * math.pi) ** (self.dim / 2.0) * self.sqrt_det
 
-    def mahalanobis_sq(self, x) -> np.ndarray | float:
-        """Squared Mahalanobis distance of x (shape (d,) or (n, d)) from the mean."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim <= 1
-        pts = np.atleast_2d(x)
+    def mahalanobis_sq(self, x) -> np.ndarray:
+        """Squared Mahalanobis distances of the rows of x, shape (n,), from the mean."""
+        pts = np.atleast_2d(np.asarray(x, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"expected points of dimension {self.dim}, got {pts.shape[1]}")
         dev = np.linalg.solve(self.chol, (pts - self.mean).T)
-        m2 = np.einsum("ij,ij->j", dev, dev)
-        return float(m2[0]) if single else m2
+        return np.einsum("ij,ij->j", dev, dev)
 
-    def log_eval(self, x):
-        """Log possibility value, -0.5 * mahalanobis_sq."""
+    def log_eval(self, x) -> np.ndarray:
+        """Log possibility values, -0.5 * mahalanobis_sq; 0 exactly at the mean."""
         return -0.5 * self.mahalanobis_sq(x)
 
-    def eval(self, x):
-        """Possibility value in (0, 1]; equals 1 exactly at the mean."""
-        return np.exp(self.log_eval(x))
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` points from the Gaussian density of this shape, shape (size, d)."""
+        return self.mean + rng.standard_normal((int(size), self.dim)) @ self.chol.T
 
 
 @dataclass(frozen=True)
@@ -117,10 +110,6 @@ class WaterPouredDensity:
     level: float
     plateau_radius: float
     plateau_mass: float
-
-    def density(self, x):
-        """Density value min(source.eval(x), level)."""
-        return np.minimum(self.source.eval(x), self.level)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` exact samples, shape (size, d).
@@ -161,7 +150,6 @@ class DiscreteWaterPour:
     sums to one.  Support equals the support of the input weights.
     """
 
-    weights: np.ndarray
     level: float
     pmf: np.ndarray
 
@@ -172,7 +160,7 @@ def _clip_mass(lam: float, pi: GaussianPossibility, unit_ball_vol: float) -> flo
         return pi.total_mass
     r_sq = -2.0 * math.log(lam)
     d = pi.dim
-    plateau = lam * unit_ball_vol * r_sq ** (d / 2.0) * pi.sqrt_det_spread
+    plateau = lam * unit_ball_vol * r_sq ** (d / 2.0) * pi.sqrt_det
     tail = pi.total_mass * stats.chi2.sf(r_sq, d)
     return plateau + tail
 
@@ -223,7 +211,7 @@ def water_pour_continuous(pi: GaussianPossibility, tol: float = 1e-12) -> WaterP
         lam = 0.5 * (lo + hi)
 
     r = math.sqrt(max(-2.0 * math.log(lam), 0.0))
-    plateau_mass = lam * unit_ball_vol * r**d * pi.sqrt_det_spread
+    plateau_mass = lam * unit_ball_vol * r**d * pi.sqrt_det
     return WaterPouredDensity(pi, level=lam, plateau_radius=r, plateau_mass=min(plateau_mass, 1.0))
 
 
@@ -257,7 +245,7 @@ def water_pour_discrete(weights) -> DiscreteWaterPour:
             level = cand
             break
     pmf = np.minimum(w, level)
-    return DiscreteWaterPour(weights=w, level=float(level), pmf=pmf)
+    return DiscreteWaterPour(level=float(level), pmf=pmf)
 
 
 def sample_discrete(pour: DiscreteWaterPour, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -266,36 +254,3 @@ def sample_discrete(pour: DiscreteWaterPour, rng: np.random.Generator, count: in
     cum[-1] = 1.0  # guard against rounding in the last cell
     return np.searchsorted(cum, rng.random(int(count)), side="right")
 
-
-def possibility_of_event(particles, predicate) -> float:
-    """Possibility of an event under a weighted particle approximation.
-
-    The possibility of a set is the supremum of the possibility function
-    over it; on particles this is the maximum weight among states that
-    satisfy the predicate, or 0 if none do.
-
-    ``particles`` needs ``states`` (n, d) and ``weights`` (n,) attributes;
-    ``predicate`` maps a single state vector to bool.
-    """
-    states = np.asarray(particles.states)
-    weights = np.asarray(particles.weights)
-    if states.shape[0] == 0:
-        raise EmptyInput("particle set is empty")
-    best = 0.0
-    for state, weight in zip(states, weights):
-        if weight > best and predicate(state):
-            best = float(weight)
-    return best
-
-
-def normalize_density_to_possibility(values) -> np.ndarray:
-    """Rescale nonnegative density values so the maximum is exactly 1."""
-    v = np.atleast_1d(np.asarray(values, dtype=float))
-    if v.size == 0:
-        raise EmptyInput("value vector is empty")
-    if np.any(v < 0.0):
-        raise WeightsOutOfRange("density values must be nonnegative")
-    peak = v.max()
-    if peak <= 0.0:
-        raise WeightsOutOfRange("all density values are zero")
-    return v / peak

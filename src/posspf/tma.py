@@ -66,7 +66,9 @@ def bearings_of(states: np.ndarray) -> np.ndarray:
     x, y = states[:, 0], states[:, 2]
     if np.any((x == 0.0) & (y == 0.0)):
         raise AtOrigin("bearing undefined at zero range")
-    return np.arctan2(x, y)
+    beta = np.arctan2(x, y)
+    # atan2(-0.0, y < 0) is -pi; report the seam as +pi, as wrap_angle does.
+    return np.where(beta == -np.pi, np.pi, beta)
 
 
 def bearing_log_likelihood(states: np.ndarray, z: float, sigma: float) -> np.ndarray:
@@ -94,7 +96,6 @@ class ObserverTrajectory:
         if np.abs(gaps_x).max() > 1e-9 * scale or np.abs(gaps_y).max() > 1e-9 * scale:
             raise ValueError("observer positions inconsistent with piecewise-CV motion")
         self.states = states
-        self.T = float(T)
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -103,35 +104,50 @@ class ObserverTrajectory:
         return float(self.states[scan, 1]), float(self.states[scan, 3])
 
 
+@dataclass(frozen=True)
+class PriorConfig:
+    """Parameters of the measurement-based initial prior, in SI units.
+
+    ``covariance_form="consistent"`` orients the range variance along the
+    line of sight; ``"swapped"`` swaps the two position variances while
+    keeping the same cross term.
+    """
+
+    range_mean: float = 10e3
+    range_sigma: float = 3.5e3
+    vel_sigma: tuple[float, float] = (2.6, 2.6)
+    covariance_form: str = "consistent"
+
+    def __post_init__(self):
+        if not all(0 < v < np.inf for v in (self.range_mean, self.range_sigma, *self.vel_sigma)):
+            raise ValueError("prior scale parameters must be positive and finite")
+        if self.covariance_form not in ("consistent", "swapped"):
+            raise ValueError(f"unknown covariance form {self.covariance_form!r}")
+
+
 def init_prior(
     z1: float,
     observer_vel: tuple[float, float],
-    range_mean: float = 10e3,
-    range_sigma: float = 3.5e3,
-    sigma: float = np.deg2rad(1.0),
-    vel_sigma: tuple[float, float] = (2.6, 2.6),
-    covariance_form: str = "consistent",
+    sigma: float,
+    prior: PriorConfig = PriorConfig(),
 ) -> GaussianPossibility:
     """Prior over the relative state built from the first bearing measurement.
 
-    Mean: target placed at range ``range_mean`` along the measured bearing,
-    relative velocity equal to minus the observer velocity.  The position
-    covariance orients the range variance along the line of sight and the
-    cross-range variance range_mean^2 * sigma^2 perpendicular to it
-    (``covariance_form="consistent"``); ``"swapped"`` swaps the two
-    position variances while keeping the same cross term.
+    Mean: target placed at range ``prior.range_mean`` along the measured
+    bearing, relative velocity equal to minus the observer velocity.  The
+    position covariance combines the range variance along the line of sight
+    with the cross-range variance (range_mean * sigma)^2, ``sigma`` being the
+    bearing noise scale; see :class:`PriorConfig` for the swapped form.
     """
-    if not all(0 < v < np.inf for v in (range_mean, range_sigma, sigma, *vel_sigma)):
-        raise ValueError("prior scale parameters must be positive and finite")
-    if covariance_form not in ("consistent", "swapped"):
-        raise ValueError(f"unknown covariance form {covariance_form!r}")
+    if not 0 < sigma < np.inf:
+        raise ValueError("bearing sigma must be positive and finite")
 
     s, c = np.sin(z1), np.cos(z1)
-    mean = np.array([range_mean * s, -observer_vel[0], range_mean * c, -observer_vel[1]])
+    mean = np.array([prior.range_mean * s, -observer_vel[0], prior.range_mean * c, -observer_vel[1]])
 
-    range_var = range_sigma**2
-    cross_var = (range_mean * sigma) ** 2
-    if covariance_form == "consistent":
+    range_var = prior.range_sigma**2
+    cross_var = (prior.range_mean * sigma) ** 2
+    if prior.covariance_form == "consistent":
         var_x = range_var * s * s + cross_var * c * c
         var_y = range_var * c * c + cross_var * s * s
     else:
@@ -139,7 +155,7 @@ def init_prior(
         var_y = range_var * s * s + cross_var * c * c
     cov_xy = (range_var - cross_var) * s * c
 
-    P = np.diag([var_x, vel_sigma[0] ** 2, var_y, vel_sigma[1] ** 2])
+    P = np.diag([var_x, prior.vel_sigma[0] ** 2, var_y, prior.vel_sigma[1] ** 2])
     P[0, 2] = P[2, 0] = cov_xy
     return GaussianPossibility(mean, P)
 

@@ -110,6 +110,9 @@ def test_run_bad_config_names_key(tmp_path, capsys):
         ("crlb", "scenario.sample_time_s=inf"),
         ("run", "filter.proposal_inflation=nan"),
         ("run", "scenario.noise_sigma_deg=nan"),
+        ("crlb", "filter.range_prior_km=nan"),
+        ("run", "filter.range_prior_sigma_km=inf"),
+        ("run", "filter.velocity_prior_sigma_kn=-1"),
     ],
 )
 def test_non_finite_input_exits_2_and_writes_no_csv(tmp_path, capsys, command, override):
@@ -125,6 +128,27 @@ def test_fractional_particle_count_exits_2_naming_n_grid(tmp_path, capsys):
     assert code == 2
     assert "[experiment] n_grid" in capsys.readouterr().err
     assert not (tmp_path / "table1.csv").exists()
+
+
+def test_all_runs_divergent_exits_1_without_rms_csv(tmp_path, capsys):
+    code = main(
+        [
+            "run",
+            "--set", f"output.directory={tmp_path}",
+            "--set", "experiment.runs=5",
+            "--set", "filter.particles=500",
+            "--set", "filter.proposal=max-entropy",
+            "--set", "filter.transition_weighting=gaussian",
+            "--set", "filter.map_peak_cut=0",
+        ]
+    )
+    assert code == 1
+    assert "all 5 runs diverged" in capsys.readouterr().err
+    assert not (tmp_path / "rms.csv").exists()
+    runs = read_lines(tmp_path / "runs.csv")
+    assert len(runs) == 2 + 5 and all(line.endswith(",1") for line in runs[2:])
+    for path in tmp_path.iterdir():
+        assert "nan" not in path.read_text()
 
 
 def test_run_unwritable_output_is_runtime_error(capsys):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from posspf.filters import (
-    TEXTBOOK_OPTIONS,
     AllWeightsZero,
     LinearGaussianTransition,
     ParticleSet,
@@ -19,8 +18,8 @@ from posspf.filters import (
     standard_pf_step,
     systematic_resample,
 )
-from posspf.possq import GaussianPossibility
-from posspf.tma import init_prior
+from posspf.possq import GaussianPossibility, water_pour_continuous
+from posspf.tma import init_prior, process_noise_matrix, transition_matrix
 
 from _toy import (
     kalman_track,
@@ -30,6 +29,16 @@ from _toy import (
     toy_log_likelihood,
 )
 
+DEG = math.pi / 180.0
+
+# The textbook recursion: max-entropy support, Gaussian transition
+# weighting, no inflation and the raw arg-max estimate.
+TEXTBOOK_OPTIONS = PossibilityPFOptions(
+    proposal="max-entropy",
+    transition_weighting="gaussian",
+    proposal_inflation=1.0,
+    map_peak_cut=0.0,
+)
 ALL_OPTION_SETS = [PossibilityPFOptions(), TEXTBOOK_OPTIONS]
 
 
@@ -46,7 +55,7 @@ def test_init_single_particle_has_weight_one():
 
 @pytest.mark.parametrize("options", ALL_OPTION_SETS)
 def test_init_position_mean_near_prior_mean(options):
-    prior = init_prior(0.1, (2.0, 1.0))
+    prior = init_prior(0.1, (2.0, 1.0), DEG)
     n = 10_000
     ps = possibility_pf_init(prior, n, np.random.default_rng(3), options)
     se = ps.states.std(axis=0) / math.sqrt(n)
@@ -55,11 +64,50 @@ def test_init_position_mean_near_prior_mean(options):
 
 @pytest.mark.parametrize("options", ALL_OPTION_SETS)
 def test_init_weights_in_range_with_unit_max(options):
-    prior = init_prior(0.0, (0.0, 0.0))
+    prior = init_prior(0.0, (0.0, 0.0), DEG)
     ps = possibility_pf_init(prior, 500, np.random.default_rng(1), options)
     assert ps.weights.max() == 1.0
     assert np.all(ps.weights > 0)
     assert np.all(ps.weights <= 1.0)
+
+
+def _assert_same_stream(draw, reference, seed=5):
+    """Two draws from one seeded stream equal the reference expression, bit for bit."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        np.testing.assert_array_equal(draw(rng), reference(ref_rng))
+
+
+def test_draws_consume_the_reference_rng_stream():
+    # The references are the inline expressions the samplers replaced; run
+    # outputs depend on every draw staying bit-identical to them.
+    n = 257
+    prior = init_prior(0.1, (2.0, 1.0), DEG)
+    prior_chol = np.linalg.cholesky(prior.spread)
+    F, Q = transition_matrix(40.0), process_noise_matrix(40.0, 1e-3)
+    offset = np.array([0.0, -0.3, 0.0, 0.2])
+    transition = LinearGaussianTransition(F, Q, offset)
+    states = prior.mean + 100.0 * np.random.default_rng(1).standard_normal((n, 4))
+    means = states @ F.T + offset
+
+    def gaussian(mean, chol):
+        return lambda rng: mean + rng.standard_normal((n, 4)) @ chol.T
+
+    _assert_same_stream(lambda rng: possibility_pf_init(prior, n, rng).states, gaussian(prior.mean, prior_chol))
+    _assert_same_stream(lambda rng: standard_pf_init(prior, n, rng).states, gaussian(prior.mean, prior_chol))
+    for inflation in (1.0, 1.5):
+        options = PossibilityPFOptions(proposal="density", proposal_inflation=inflation)
+        _assert_same_stream(
+            lambda rng: transition.propose(states, rng, options),
+            gaussian(means, np.linalg.cholesky(Q * inflation)),
+        )
+    options = PossibilityPFOptions(proposal="max-entropy")
+    poured = water_pour_continuous(GaussianPossibility(np.zeros(4), Q * options.proposal_inflation))
+    _assert_same_stream(
+        lambda rng: transition.propose(states, rng, options),
+        lambda rng: means + poured.sample(rng, n),
+    )
+    _assert_same_stream(lambda rng: transition.sample_model(states, rng), gaussian(means, np.linalg.cholesky(Q)))
 
 
 def test_init_rejects_zero_particles():

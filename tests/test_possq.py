@@ -22,8 +22,6 @@ from posspf.possq import (
     TooConcentrated,
     WaterPouredDensity,
     WeightsOutOfRange,
-    normalize_density_to_possibility,
-    possibility_of_event,
     sample_discrete,
     water_pour_continuous,
     water_pour_discrete,
@@ -33,36 +31,35 @@ from posspf.possq import (
 LEVEL_1D_SIGMA1 = 0.22844582141248715
 
 
-class Particles:
-    def __init__(self, states, weights):
-        self.states = np.asarray(states, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
 
+def value(pi: GaussianPossibility, point) -> float:
+    """Possibility value of a single point."""
+    return math.exp(pi.log_eval([point])[0])
+
+
 def test_eval_at_mean_is_exactly_one():
     pi = GaussianPossibility([0.0, 0.0], np.eye(2))
-    assert pi.eval([0.0, 0.0]) == 1.0
+    assert value(pi, [0.0, 0.0]) == 1.0
 
 
 def test_eval_1d_analytic():
     pi = GaussianPossibility([0.0], [[1.0]])
-    assert pi.eval([2.0]) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert value(pi, [2.0]) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_eval_diagonal_analytic():
     pi = GaussianPossibility([1.0, 1.0], np.diag([4.0, 1.0]))
-    assert pi.eval([3.0, 1.0]) == pytest.approx(math.exp(-0.5), rel=1e-12)
+    assert value(pi, [3.0, 1.0]) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
 
 def test_eval_dimension_mismatch():
     pi = GaussianPossibility([0.0, 0.0], np.eye(2))
     with pytest.raises(ValueError):
-        pi.eval([1.0, 2.0, 3.0])
+        pi.log_eval([1.0, 2.0, 3.0])
 
 
 def test_spread_must_be_positive_definite():
@@ -73,54 +70,9 @@ def test_spread_must_be_positive_definite():
 def test_eval_vectorised_matches_scalar():
     pi = GaussianPossibility([1.0, -1.0], [[2.0, 0.3], [0.3, 1.0]])
     pts = np.array([[0.0, 0.0], [1.0, -1.0], [3.0, 2.0]])
-    vec = pi.eval(pts)
-    for row, value in zip(pts, vec):
-        assert pi.eval(row) == pytest.approx(value, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# possibility of an event / normalisation
-# ---------------------------------------------------------------------------
-
-
-def test_event_always_true_gives_one():
-    ps = Particles([[0.0], [1.0], [2.0]], [1.0, 0.4, 0.7])
-    assert possibility_of_event(ps, lambda s: True) == 1.0
-
-
-def test_event_always_false_gives_zero():
-    ps = Particles([[0.0], [1.0]], [1.0, 0.5])
-    assert possibility_of_event(ps, lambda s: False) == 0.0
-
-
-def test_event_max_over_selected_subset():
-    ps = Particles([[0.0], [1.0], [2.0]], [1.0, 0.4, 0.7])
-    assert possibility_of_event(ps, lambda s: s[0] >= 1.0) == 0.7
-
-
-def test_event_empty_particles():
-    ps = Particles(np.empty((0, 1)), np.empty(0))
-    with pytest.raises(EmptyInput):
-        possibility_of_event(ps, lambda s: True)
-
-
-def test_normalize_basic():
-    np.testing.assert_allclose(
-        normalize_density_to_possibility([2.0, 4.0, 1.0]), [0.5, 1.0, 0.25]
-    )
-
-
-def test_normalize_single():
-    np.testing.assert_allclose(normalize_density_to_possibility([1.0]), [1.0])
-
-
-def test_normalize_with_zero_entry():
-    np.testing.assert_allclose(normalize_density_to_possibility([0.0, 3.0]), [0.0, 1.0])
-
-
-def test_normalize_all_zero_rejected():
-    with pytest.raises(WeightsOutOfRange):
-        normalize_density_to_possibility([0.0, 0.0])
+    vec = pi.log_eval(pts)
+    for row, log_value in zip(pts, vec):
+        assert pi.log_eval(row)[0] == pytest.approx(log_value, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +150,12 @@ def test_clip_mass_is_strictly_increasing_in_level():
     x=st.floats(min_value=-10.0, max_value=10.0),
 )
 def test_dominance_everywhere(sigma, x):
+    # The sampled density is the level inside the plateau radius and pi outside.
     pi = GaussianPossibility([0.0], [[sigma**2]])
     poured = water_pour_continuous(pi)
-    assert poured.density([x]) <= pi.eval([x]) + 1e-15
+    on_plateau = pi.mahalanobis_sq([x])[0] <= poured.plateau_radius**2
+    density = poured.level if on_plateau else value(pi, [x])
+    assert density <= value(pi, [x]) + 1e-15
 
 
 @settings(max_examples=10, deadline=None)
@@ -341,6 +296,21 @@ def test_discrete_matches_bisection_oracle(weights, unit_pos):
     assert np.all(pour.pmf[w > 0] > 0)
     oracle = level_by_sum_bisection(w)
     np.testing.assert_allclose(pour.pmf, np.minimum(w, oracle), atol=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=8),
+    st.integers(min_value=0, max_value=7),
+)
+def test_discrete_tie_heavy_weights_with_zeros(weights, unit_pos):
+    w = np.asarray(weights)
+    w[unit_pos % len(w)] = 1.0
+    pour = water_pour_discrete(w)
+    assert pour.pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(pour.pmf <= w)
+    assert np.all(pour.pmf[w == 0.0] == 0.0)
+    assert pour.level == pytest.approx(level_by_sum_bisection(w), abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

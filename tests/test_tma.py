@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posspf.bench import build_canonical_scenario, nominal_target_track
@@ -13,6 +13,7 @@ from posspf.possq import GaussianPossibility
 from posspf.tma import (
     AtOrigin,
     ObserverTrajectory,
+    PriorConfig,
     bearing_jacobian,
     bearing_log_likelihood,
     bearings_of,
@@ -170,16 +171,17 @@ def test_transition_possibility_zero_state():
     T, q = 40.0, 1e-3
     F = transition_matrix(T)
     Q = process_noise_matrix(T, q)
-    phi = LinearGaussianTransition(F, Q).possibility(np.zeros(4))
-    np.testing.assert_array_equal(phi.mean, np.zeros(4))
-    np.testing.assert_array_equal(phi.spread, Q)
+    transition = LinearGaussianTransition(F, Q)
+    np.testing.assert_array_equal(transition.means(np.zeros((1, 4))), np.zeros((1, 4)))
+    np.testing.assert_array_equal(transition.noise.spread, Q)
 
 
 def test_transition_possibility_peak_at_own_mean():
     F = transition_matrix(40.0)
     Q = process_noise_matrix(40.0, 1e-3)
-    phi = LinearGaussianTransition(F, Q, [-0.1, 0.0, 0.2, 0.0]).possibility([1.0, 2.0, 3.0, 4.0])
-    assert phi.eval(phi.mean) == 1.0
+    transition = LinearGaussianTransition(F, Q, [-0.1, 0.0, 0.2, 0.0])
+    x = np.array([[1.0, 2.0, 3.0, 4.0]])
+    assert transition.log_possibility_of_move(transition.means(x), x)[0] == 0.0
 
 
 def test_transition_possibility_canonical_second_scan():
@@ -189,8 +191,8 @@ def test_transition_possibility_canonical_second_scan():
     F = transition_matrix(scenario.T)
     Q = process_noise_matrix(scenario.T, scenario.q)
     U = observer_input(scenario.observer.states[1], scenario.observer.states[0], scenario.T)
-    phi = LinearGaussianTransition(F, Q, -U).possibility(rel[0])
-    np.testing.assert_allclose(phi.mean, rel[1], atol=1e-9)
+    predicted = LinearGaussianTransition(F, Q, -U).means(rel[:1])[0]
+    np.testing.assert_allclose(predicted, rel[1], atol=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -198,10 +200,10 @@ def test_transition_possibility_canonical_second_scan():
 def test_transition_mean_is_linear(state):
     F = transition_matrix(40.0)
     Q = process_noise_matrix(40.0, 1e-3)
-    x = np.array(state)
+    x = np.array([state])
     transition = LinearGaussianTransition(F, Q)
-    double = transition.possibility(2 * x).mean
-    single = transition.possibility(x).mean
+    double = transition.means(2 * x)
+    single = transition.means(x)
     np.testing.assert_allclose(double, 2 * single, atol=1e-9)
 
 
@@ -252,10 +254,12 @@ def test_log_likelihood_matches_scalar():
     y=st.floats(min_value=-1e5, max_value=-1e3),
     offset=st.floats(min_value=-3 * DEG, max_value=3 * DEG),
 )
+@example(x=-0.0, y=-5e3, offset=0.0)
 def test_bearing_and_likelihood_across_the_wrap_due_south(x, y, offset):
     # A target due south of the observer sits on the +-pi seam of the bearing.
     state = np.array([[x, 0.0, y, 0.0]])
     beta = bearings_of(state)[0]
+    assert -math.pi < beta <= math.pi
     assert abs(wrap_angle(beta - math.pi)) == pytest.approx(math.atan(abs(x) / -y), abs=1e-12)
     z = wrap_angle(beta + offset)
     sigma = 1.0 * DEG
@@ -280,12 +284,19 @@ def test_wrap_angle_range():
     [{"range_mean": math.nan}, {"range_sigma": math.inf}, {"sigma": math.nan}, {"vel_sigma": (2.6, 0.0)}],
 )
 def test_init_prior_rejects_non_finite_scales(scale):
+    fields = dict(scale)
+    sigma = fields.pop("sigma", DEG)
     with pytest.raises(ValueError, match="positive and finite"):
-        init_prior(0.0, (0.0, 7.5), **scale)
+        init_prior(0.0, (0.0, 7.5), sigma, PriorConfig(**fields))
+
+
+def test_prior_config_rejects_unknown_covariance_form():
+    with pytest.raises(ValueError, match="covariance form"):
+        PriorConfig(covariance_form="diagonal")
 
 
 def test_init_prior_due_north_consistent_orientation():
-    prior = init_prior(0.0, (2.0, 1.0))
+    prior = init_prior(0.0, (2.0, 1.0), DEG)
     np.testing.assert_allclose(prior.mean, [0.0, -2.0, 10e3, -1.0])
     cross_var = (10e3 * 1.0 * DEG) ** 2
     assert prior.spread[0, 0] == pytest.approx(cross_var, rel=1e-9)
@@ -294,7 +305,7 @@ def test_init_prior_due_north_consistent_orientation():
 
 
 def test_init_prior_due_north_swapped_form_swaps_axes():
-    prior = init_prior(0.0, (0.0, 0.0), covariance_form="swapped")
+    prior = init_prior(0.0, (0.0, 0.0), DEG, PriorConfig(covariance_form="swapped"))
     cross_var = (10e3 * 1.0 * DEG) ** 2
     assert prior.spread[0, 0] == pytest.approx(3.5e3**2, rel=1e-9)
     assert prior.spread[2, 2] == pytest.approx(cross_var, rel=1e-9)
@@ -302,8 +313,8 @@ def test_init_prior_due_north_swapped_form_swaps_axes():
 
 def test_init_prior_quarter_turn_swaps_both_forms():
     for form in ("consistent", "swapped"):
-        at_zero = init_prior(0.0, (0.0, 0.0), covariance_form=form)
-        at_quarter = init_prior(math.pi / 2, (0.0, 0.0), covariance_form=form)
+        at_zero = init_prior(0.0, (0.0, 0.0), DEG, PriorConfig(covariance_form=form))
+        at_quarter = init_prior(math.pi / 2, (0.0, 0.0), DEG, PriorConfig(covariance_form=form))
         assert at_quarter.spread[0, 0] == pytest.approx(at_zero.spread[2, 2], rel=1e-9)
         assert at_quarter.spread[2, 2] == pytest.approx(at_zero.spread[0, 0], rel=1e-9)
 
@@ -317,7 +328,7 @@ def test_init_prior_orientation_against_polar_monte_carlo():
     bearings = z1 + 1.0 * DEG * rng.standard_normal(n)
     xy = np.column_stack([ranges * np.sin(bearings), ranges * np.cos(bearings)])
     sample_cov = np.cov(xy.T)
-    prior = init_prior(z1, (0.0, 0.0))
+    prior = init_prior(z1, (0.0, 0.0), DEG)
     pos_cov = prior.spread[np.ix_([0, 2], [0, 2])]
     np.testing.assert_allclose(sample_cov, pos_cov, rtol=0.05)
 
@@ -328,7 +339,7 @@ def test_init_prior_orientation_against_polar_monte_carlo():
     form=st.sampled_from(["consistent", "swapped"]),
 )
 def test_init_prior_spread_is_positive_definite(z1, form):
-    prior = init_prior(z1, (1.0, -1.0), covariance_form=form)
+    prior = init_prior(z1, (1.0, -1.0), DEG, PriorConfig(covariance_form=form))
     np.linalg.cholesky(prior.spread)
 
 
@@ -340,7 +351,7 @@ def test_init_prior_spread_is_positive_definite(z1, form):
 def test_crlb_first_scan_is_prior_spread():
     scenario = build_canonical_scenario()
     rel = nominal_target_track(scenario) - scenario.observer.states
-    prior = init_prior(0.0, scenario.observer.velocity(0))
+    prior = init_prior(0.0, scenario.observer.velocity(0), scenario.filter_sigma)
     result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
     np.testing.assert_allclose(result.bounds[0], prior.spread)
 
@@ -353,7 +364,7 @@ def test_bearing_jacobian_due_north():
 def test_crlb_canonical_curve_finite_and_improving():
     scenario = build_canonical_scenario()
     rel = nominal_target_track(scenario) - scenario.observer.states
-    prior = init_prior(0.0, scenario.observer.velocity(0))
+    prior = init_prior(0.0, scenario.observer.velocity(0), scenario.filter_sigma)
     result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
     assert result.singular_scans == []
     assert np.all(np.isfinite(result.position_bound))
@@ -369,7 +380,7 @@ def test_crlb_canonical_curve_finite_and_improving():
 def test_crlb_bounds_are_positive_definite_every_scan():
     scenario = build_canonical_scenario()
     rel = nominal_target_track(scenario) - scenario.observer.states
-    prior = init_prior(0.0, scenario.observer.velocity(0))
+    prior = init_prior(0.0, scenario.observer.velocity(0), scenario.filter_sigma)
     result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
     for bound in result.bounds:
         np.linalg.cholesky(bound + bound.T)  # symmetrise against roundoff
