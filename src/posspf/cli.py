@@ -8,8 +8,10 @@ table1  Divergence-percentage grid over particle counts and Student-t
         tails for both filters; writes table1.csv.
 crlb    Position-bound reference curve; writes crlb.csv.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration error.  Outputs
-are byte-identical across repeated invocations with the same config.
+Exit codes: 0 success, 1 runtime failure, 2 configuration error.  run and
+table1 reject process_noise = 0, which only crlb accepts.  A bound curve
+that is not finite at some scan exits 1 and writes no CSV.  Outputs are
+byte-identical across repeated invocations with the same config.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import sys
 from . import __version__
 from .bench import run_batch, scenario_crlb, table1_experiment
 from .config import Config, ConfigError, load_config
+from .tma import CrlbResult
 
 
 def _fmt(value) -> str:
@@ -46,8 +49,20 @@ def _meta(cfg: Config) -> str:
     return f"config_hash={cfg.hash()} seed={cfg.base_seed()} version={__version__}"
 
 
+def _finite_crlb(scenario, prior) -> CrlbResult:
+    """The scenario's bound curve; a non-finite scan is a runtime failure."""
+    result = scenario_crlb(scenario, prior)
+    bad = [k + 1 for k, b in enumerate(result.position_bound) if not math.isfinite(b)]
+    if bad:
+        raise RuntimeError(
+            f"position bound is not finite at scan {bad[0]} ({len(bad)} of "
+            f"{scenario.scan_count} scans); no CSV written"
+        )
+    return result
+
+
 def cmd_run(cfg: Config) -> int:
-    scenario = cfg.scenario()
+    scenario = cfg.scenario(filtering=True)
     batch = run_batch(
         scenario,
         cfg.filter_kind(),
@@ -58,7 +73,7 @@ def cmd_run(cfg: Config) -> int:
         cfg.prior(),
         cfg.filter_options(),
     )
-    bound = scenario_crlb(scenario, cfg.prior()).position_bound
+    bound = _finite_crlb(scenario, cfg.prior()).position_bound
     outdir = cfg.output_directory()
     os.makedirs(outdir, exist_ok=True)
     meta = _meta(cfg)
@@ -95,7 +110,7 @@ def cmd_run(cfg: Config) -> int:
 
 
 def cmd_table1(cfg: Config) -> int:
-    scenario = cfg.scenario()
+    scenario = cfg.scenario(filtering=True)
     cells = table1_experiment(
         scenario,
         cfg.n_grid(),
@@ -135,7 +150,7 @@ def cmd_table1(cfg: Config) -> int:
 
 def cmd_crlb(cfg: Config) -> int:
     scenario = cfg.scenario()
-    result = scenario_crlb(scenario, cfg.prior())
+    result = _finite_crlb(scenario, cfg.prior())
     outdir = cfg.output_directory()
     os.makedirs(outdir, exist_ok=True)
     _write_csv(

@@ -120,7 +120,15 @@ class Config:
             self._fail(section, key, f"expected comma-separated numbers, got {raw!r}")
 
     # -- domain objects ---------------------------------------------------------
-    def scenario(self) -> Scenario:
+    def scenario(self, filtering: bool = False) -> Scenario:
+        """The configured scenario.
+
+        ``filtering=True`` is for commands that run a filter: its transition
+        noise must be nondegenerate, so process_noise = 0 is rejected here.
+        The bound alone (``crlb``) accepts a noise-free target.
+        """
+        if filtering and self.get_float("scenario", "process_noise") == 0:
+            self._fail("scenario", "process_noise", "must be positive to run a filter (only crlb accepts 0)")
         try:
             return build_canonical_scenario(
                 scan_count=self.get_int("scenario", "scans"),

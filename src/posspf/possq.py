@@ -40,7 +40,7 @@ class WeightsOutOfRange(ValueError):
 
 
 class NoUnitWeight(ValueError):
-    """The maximum weight must be exactly 1."""
+    """The maximum weight must be exactly 1 and the weights must sum to at least 1."""
 
 
 class GaussianPossibility:
@@ -218,39 +218,58 @@ def water_pour_continuous(pi: GaussianPossibility, tol: float = 1e-12) -> WaterP
 def water_pour_discrete(weights) -> DiscreteWaterPour:
     """Exact discrete water pouring: pmf[j] = min(w[j], level), sum = 1.
 
-    The level solves sum_j min(w_j, level) = 1 exactly by sorting the
-    weights and scanning the piecewise-linear segments.  This is the unique
-    maximum-entropy pmf under the constraints sum(p) = 1 and p <= w.
+    The level solves sum_j min(w_j, level) = 1.  With the weights sorted
+    ascending (ws) and prefix sums prefix[i] = ws[0] + ... + ws[i-1], the
+    candidate level with i weights below it is (1 - prefix[i]) / (n - i).
+    All n candidates are computed at once and the level is the first one
+    that does not exceed its own segment's top, cand[i] <= ws[i] (within
+    1e-15).  That test is monotone in i, because
+    (n - i) * ws[i] + prefix[i] = sum_j min(w_j, ws[i]) grows with i, so
+    the first passing candidate also lies above the segment below it.
+    This is the unique maximum-entropy pmf under the constraints
+    sum(p) = 1 and p <= w.
 
     Weights must lie in [0, 1] with max exactly 1 (zero weights are kept at
-    zero in the pmf, preserving equal support).
+    zero in the pmf, preserving equal support).  Weights whose sum falls
+    short of 1 admit no dominated pmf and raise :class:`NoUnitWeight`.
     """
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     n = w.shape[0]
     if n == 0:
         raise EmptyInput("weight vector is empty")
-    if np.any(w < 0.0) or np.any(w > 1.0) or not np.all(np.isfinite(w)):
+    top = w.max()
+    if not (w.min() >= 0.0 and top <= 1.0):  # NaN fails both comparisons
         raise WeightsOutOfRange("weights must be finite and within [0, 1]")
-    if abs(w.max() - 1.0) > 1e-12:
-        raise NoUnitWeight(f"max weight must be exactly 1, got {w.max()!r}")
+    if abs(top - 1.0) > 1e-12:
+        raise NoUnitWeight(f"max weight must be exactly 1, got {top!r}")
 
     ws = np.sort(w)
     prefix = np.concatenate(([0.0], np.cumsum(ws)))
-    level = 1.0
-    for i in range(n):
-        # Candidate level on the segment [ws[i-1], ws[i]]: i weights lie below.
-        cand = (1.0 - prefix[i]) / (n - i)
-        low = ws[i - 1] if i > 0 else 0.0
-        if low - 1e-15 <= cand <= ws[i] + 1e-15:
-            level = cand
-            break
+    cand = (1.0 - prefix[:-1]) / np.arange(n, 0, -1)
+    fits = cand <= ws + 1e-15
+    i = int(np.argmax(fits))
+    if not fits[i]:
+        raise NoUnitWeight(
+            f"weights sum to {prefix[-1]:.17g}, less than 1; no pmf dominated by them sums to 1"
+        )
+    level = cand[i]
     pmf = np.minimum(w, level)
     return DiscreteWaterPour(level=float(level), pmf=pmf)
 
 
 def sample_discrete(pour: DiscreteWaterPour, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Inverse-CDF categorical sampling: ``count`` independent indices."""
+    """Inverse-CDF categorical sampling: ``count`` independent indices.
+
+    Draws ``count`` uniforms in one call, searches the cumulative pmf with
+    the uniforms in ascending order (each search then starts from the
+    previous result) and scatters each index back to its uniform's
+    position.  Indices and random stream are those of searching the
+    unsorted uniforms.
+    """
     cum = np.cumsum(pour.pmf)
     cum[-1] = 1.0  # guard against rounding in the last cell
-    return np.searchsorted(cum, rng.random(int(count)), side="right")
-
+    u = rng.random(int(count))
+    order = np.argsort(u)
+    idx = np.empty(u.shape[0], dtype=np.intp)
+    idx[order] = np.searchsorted(cum, u[order], side="right")
+    return idx

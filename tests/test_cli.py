@@ -1,9 +1,13 @@
 """Tests for the command-line front end and its CSV contract."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posspf.cli import main
 from posspf.config import KNOT, ConfigError, load_config
@@ -121,6 +125,82 @@ def test_non_finite_input_exits_2_and_writes_no_csv(tmp_path, capsys, command, o
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "table1"])
+@pytest.mark.parametrize("value", ["0", "0.0", "-0.0"])
+def test_zero_process_noise_exits_2_for_filtering_commands(tmp_path, capsys, command, value):
+    out = tmp_path / "out"
+    code = main([command, "--set", f"scenario.process_noise={value}", "--set", f"output.directory={out}"] + FAST_RUN)
+    assert code == 2
+    assert "[scenario] process_noise" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_process_noise_is_accepted_by_crlb(tmp_path):
+    code = main(["crlb", "--set", "scenario.process_noise=0", "--set", f"output.directory={tmp_path}"])
+    assert code == 0
+    rows = [line.split(",") for line in read_lines(tmp_path / "crlb.csv")[2:]]
+    assert len(rows) == 40 and all(math.isfinite(float(r[2])) for r in rows)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "override, first_bad_scan",
+    [
+        ("filter.sigma_deg=1e300", 1),
+        ("filter.range_prior_km=1e300", 1),
+        ("scenario.process_noise=1e300", 3),
+    ],
+)
+def test_non_finite_bound_exits_1_naming_scan_and_writes_no_csv(tmp_path, capsys, override, first_bad_scan):
+    out = tmp_path / "out"
+    code = main(["crlb", "--set", override, "--set", f"output.directory={out}"])
+    assert code == 1
+    assert f"not finite at scan {first_bad_scan} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+CRLB_NUMERIC_KEYS = [
+    "scenario.sample_time_s",
+    "scenario.target_range_km",
+    "scenario.target_bearing_deg",
+    "scenario.target_speed_kn",
+    "scenario.target_heading_deg",
+    "scenario.observer_speed_kn",
+    "scenario.observer_headings_deg",
+    "scenario.noise_sigma_deg",
+    "scenario.noise_dof",
+    "scenario.process_noise",
+    "filter.sigma_deg",
+    "filter.range_prior_km",
+    "filter.range_prior_sigma_km",
+    "filter.velocity_prior_sigma_kn",
+]
+
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(CRLB_NUMERIC_KEYS), FUZZ_VALUES, min_size=1, max_size=3))
+def test_crlb_never_exits_0_with_a_non_finite_cell(overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        args = ["crlb", "--set", f"output.directory={out}"]
+        for key, value in overrides.items():
+            args += ["--set", f"{key}={value!r}"]
+        code = main(args)
+        assert code in (0, 1, 2)
+        if code == 0:
+            rows = [line.split(",") for line in read_lines(out / "crlb.csv")[2:]]
+            assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
+        else:
+            assert not (out / "crlb.csv").exists()
 
 
 def test_fractional_particle_count_exits_2_naming_n_grid(tmp_path, capsys):

@@ -248,6 +248,30 @@ def level_by_sum_bisection(weights):
     return 0.5 * (lo + hi)
 
 
+def level_by_segment_scan(weights) -> float:
+    """Reference level: a Python scan over the sorted weights' segments.
+
+    Takes the first segment whose candidate level lies within both of its
+    bounds (1e-15 slack on each side), testing the lower bound that the
+    closed form in ``water_pour_discrete`` leaves out.
+    """
+    ws = np.sort(np.asarray(weights, dtype=float))
+    n = ws.shape[0]
+    prefix = np.concatenate(([0.0], np.cumsum(ws)))
+    for i in range(n):
+        cand = (1.0 - prefix[i]) / (n - i)
+        low = ws[i - 1] if i > 0 else 0.0
+        if low - 1e-15 <= cand <= ws[i] + 1e-15:
+            return float(cand)
+    raise AssertionError("no segment qualifies")
+
+
+def unit_peak_weights(chi2, scale):
+    """exp(-scale * chi2) weights with the minimum chi2 mapped to exactly 1."""
+    chi2 = np.asarray(chi2, dtype=float)
+    return np.exp(-scale * (chi2 - chi2.min()))
+
+
 def test_discrete_two_units():
     pour = water_pour_discrete([1.0, 1.0])
     assert pour.level == pytest.approx(0.5, abs=1e-15)
@@ -313,6 +337,64 @@ def test_discrete_tie_heavy_weights_with_zeros(weights, unit_pos):
     assert pour.level == pytest.approx(level_by_sum_bisection(w), abs=1e-12)
 
 
+def test_discrete_weights_summing_below_one_raise():
+    # The max passes the 1e-12 unit check, but the weights sum to less
+    # than 1, so no pmf dominated by them can sum to 1.
+    with pytest.raises(NoUnitWeight, match="sum to"):
+        water_pour_discrete([1.0 - 1e-13, 0.0])
+    with pytest.raises(NoUnitWeight, match="sum to"):
+        water_pour_discrete([1.0 - 5e-13])
+
+
+# m copies of 1/m - delta: once one copy is set to 1, the first candidate
+# level 1/m sits delta above the other m - 1 weights, on either side of the
+# 1e-15 slack.
+NEAR_BOUNDARY_WEIGHTS = st.builds(
+    lambda m, delta: [1.0 / m - delta] * m,
+    st.integers(min_value=2, max_value=40),
+    st.sampled_from([0.0, 1e-17, 1e-16, 5e-16, 1e-15, 2e-15, 1e-12, 1e-9]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+        st.lists(st.sampled_from([0.0, 1e-300, 0.125, 0.25, 0.5, 1.0]), min_size=1, max_size=40),
+        NEAR_BOUNDARY_WEIGHTS,
+    ),
+    st.integers(min_value=0, max_value=39),
+)
+def test_discrete_closed_form_equals_segment_scan(weights, unit_pos):
+    w = np.asarray(weights)
+    w[unit_pos % len(w)] = 1.0
+    pour = water_pour_discrete(w)
+    level = level_by_segment_scan(w)
+    assert pour.level == level
+    assert np.array_equal(pour.pmf, np.minimum(w, level))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.sampled_from([1e-3, 0.5, 5.0, 50.0, 500.0]),
+    dof=st.sampled_from([1, 4, 10]),
+    ties=st.booleans(),
+)
+def test_discrete_closed_form_equals_segment_scan_filter_weights(n, seed, scale, dof, ties):
+    # Normalised exp(-k * chi2) weights as the filter builds them, from
+    # nearly flat (k = 1e-3) to a dynamic range far below 1e-300 (zeros).
+    chi2 = np.random.default_rng(seed).chisquare(dof, n)
+    if ties:
+        chi2 = np.round(chi2)
+    w = unit_peak_weights(chi2, scale)
+    pour = water_pour_discrete(w)
+    level = level_by_segment_scan(w)
+    assert pour.level == level
+    assert np.array_equal(pour.pmf, np.minimum(w, level))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=6),
@@ -351,3 +433,19 @@ def test_sample_discrete_skewed_frequencies():
     idx = sample_discrete(pour, np.random.default_rng(43), 100_000)
     freq = np.bincount(idx, minlength=2) / 100_000
     np.testing.assert_allclose(freq, [0.8, 0.2], atol=0.01)
+
+
+@pytest.mark.parametrize("n, count", [(1, 7), (3, 1000), (5000, 5000)])
+def test_sample_discrete_equals_unsorted_search_on_same_stream(n, count):
+    rng = np.random.default_rng(20240501 + n)
+    pour = water_pour_discrete(unit_peak_weights(rng.chisquare(4, n), 2.0))
+    sample_rng = np.random.default_rng(7)
+    idx = sample_discrete(pour, sample_rng, count)
+    cum = np.cumsum(pour.pmf)
+    cum[-1] = 1.0
+    reference_rng = np.random.default_rng(7)
+    expected = np.searchsorted(cum, reference_rng.random(count), side="right")
+    assert idx.dtype == expected.dtype
+    assert np.array_equal(idx, expected)
+    # Both consumed the same number of draws from the stream.
+    assert sample_rng.random() == reference_rng.random()
