@@ -121,6 +121,8 @@ class Scenario:
             raise ValueError("process noise intensity must be nonnegative and finite")
         if not 0 < self.filter_sigma < math.inf:
             raise ValueError("filter sigma must be positive and finite")
+        if not np.all(np.isfinite(self.target_init)):
+            raise ValueError("target initial state must be finite")
         velocities = self.observer.states[:, [1, 3]]
         if np.allclose(velocities, velocities[0]):
             raise ValueError("observer must manoeuvre at least once (range observability)")
@@ -164,6 +166,8 @@ def build_canonical_scenario(**overrides) -> Scenario:
     T = float(params["T"])
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
+    if not 0 < params["initial_range_m"] < math.inf:
+        raise ValueError("initial range must be positive and finite")
     if params["observer_leg_scans"] < 1:
         raise ValueError("observer_leg_scans must be at least 1")
     if params["observer_speed"] < 0 or params["target_speed"] < 0:

@@ -63,7 +63,7 @@ def _finite_crlb(scenario, prior) -> CrlbResult:
 
 def cmd_run(cfg: Config) -> int:
     scenario = cfg.scenario(filtering=True)
-    batch = run_batch(
+    batch_args = (
         scenario,
         cfg.filter_kind(),
         cfg.particles(),
@@ -73,7 +73,10 @@ def cmd_run(cfg: Config) -> int:
         cfg.prior(),
         cfg.filter_options(),
     )
+    # A bound that is not finite fails the command: find out before the batch
+    # runs, but after every key has been checked.
     bound = _finite_crlb(scenario, cfg.prior()).position_bound
+    batch = run_batch(*batch_args)
     outdir = cfg.output_directory()
     os.makedirs(outdir, exist_ok=True)
     meta = _meta(cfg)

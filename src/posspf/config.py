@@ -91,6 +91,12 @@ class Config:
         except ValueError:
             self._fail(section, key, f"expected a number, got {raw!r}")
 
+    def get_finite_float(self, section: str, key: str) -> float:
+        value = self.get_float(section, key)
+        if not math.isfinite(value):
+            self._fail(section, key, f"must be finite, got {value}")
+        return value
+
     def get_int(self, section: str, key: str) -> int:
         raw = self._raw(section, key)
         try:
@@ -129,16 +135,22 @@ class Config:
         """
         if filtering and self.get_float("scenario", "process_noise") == 0:
             self._fail("scenario", "process_noise", "must be positive to run a filter (only crlb accepts 0)")
+        range_km = self.get_finite_float("scenario", "target_range_km")
+        if not range_km > 0:
+            self._fail("scenario", "target_range_km", f"must be positive (no bearing at zero range), got {range_km}")
+        headings = self.get_float_list("scenario", "observer_headings_deg")
+        if not all(map(math.isfinite, headings)):
+            self._fail("scenario", "observer_headings_deg", f"must be finite, got {headings}")
         try:
             return build_canonical_scenario(
                 scan_count=self.get_int("scenario", "scans"),
                 T=self.get_float("scenario", "sample_time_s"),
-                initial_range_m=self.get_float("scenario", "target_range_km") * 1e3,
-                initial_bearing_deg=self.get_float("scenario", "target_bearing_deg"),
-                target_speed=self.get_float("scenario", "target_speed_kn") * KNOT,
-                target_heading_deg=self.get_float("scenario", "target_heading_deg"),
-                observer_speed=self.get_float("scenario", "observer_speed_kn") * KNOT,
-                observer_headings_deg=tuple(self.get_float_list("scenario", "observer_headings_deg")),
+                initial_range_m=range_km * 1e3,
+                initial_bearing_deg=self.get_finite_float("scenario", "target_bearing_deg"),
+                target_speed=self.get_finite_float("scenario", "target_speed_kn") * KNOT,
+                target_heading_deg=self.get_finite_float("scenario", "target_heading_deg"),
+                observer_speed=self.get_finite_float("scenario", "observer_speed_kn") * KNOT,
+                observer_headings_deg=tuple(headings),
                 observer_leg_scans=self.get_int("scenario", "observer_leg_scans"),
                 q=self.get_float("scenario", "process_noise"),
                 noise_kind=self.get_choice("scenario", "noise", ("gaussian", "student-t")),
@@ -197,7 +209,10 @@ class Config:
         return r
 
     def base_seed(self) -> int:
-        return self.get_int("experiment", "base_seed")
+        seed = self.get_int("experiment", "base_seed")
+        if seed < 0:
+            self._fail("experiment", "base_seed", f"must be nonnegative, got {seed}")
+        return seed
 
     def parallelism(self) -> int:
         p = self.get_int("experiment", "parallelism")
@@ -213,8 +228,8 @@ class Config:
 
     def nu_grid(self) -> list[float]:
         grid = self.get_float_list("experiment", "nu_grid")
-        if not grid or any(nu <= 0 for nu in grid):
-            self._fail("experiment", "nu_grid", "needs positive degrees of freedom")
+        if not grid or not all(nu > 0 for nu in grid):  # NaN fails nu > 0
+            self._fail("experiment", "nu_grid", f"needs positive degrees of freedom, got {grid}")
         return grid
 
     def output_directory(self) -> str:

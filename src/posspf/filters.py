@@ -126,7 +126,11 @@ class LinearGaussianTransition:
         self._proposals: dict = {}
 
     def means(self, states: np.ndarray) -> np.ndarray:
-        return states @ self.matrix.T + self.offset
+        means = states @ self.matrix.T
+        # The same sums as broadcasting the (d,) offset, at a fraction of the
+        # cost of numpy's short inner loop over d.
+        means += np.tile(self.offset, (states.shape[0], 1))
+        return means
 
     def propose(self, states: np.ndarray, rng: np.random.Generator, options: PossibilityPFOptions) -> np.ndarray:
         """Draw one successor support point per particle."""
@@ -136,7 +140,11 @@ class LinearGaussianTransition:
             if options.proposal == "max-entropy":
                 proposal = water_pour_continuous(proposal)
             self._proposals[key] = proposal
-        return self.means(states) + self._proposals[key].sample(rng, states.shape[0])
+        # Proposals are zero-mean, so adding the deviation to the means is
+        # adding their sample.
+        proposed = self.means(states)
+        proposed += self._proposals[key].deviation(rng, states.shape[0])
+        return proposed
 
     def log_possibility_of_move(self, proposed: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Log Gaussian transition possibility of each drawn move."""
@@ -144,7 +152,9 @@ class LinearGaussianTransition:
 
     def sample_model(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Probabilistic propagation through the un-inflated Gaussian model."""
-        return self.means(states) + self.noise.sample(rng, states.shape[0])
+        moved = self.means(states)
+        moved += self.noise.deviation(rng, states.shape[0])
+        return moved
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -207,7 +217,7 @@ def possibility_pf_resample(
     pour = water_pour_discrete(norm_weights)
     idx = sample_discrete(pour, rng, predicted.shape[0])
     carried = norm_weights[idx]
-    return ParticleSet(predicted[idx], carried / carried.max())
+    return ParticleSet(np.take(predicted, idx, axis=0), carried / carried.max())
 
 
 def possibility_pf_step(
@@ -278,4 +288,4 @@ def standard_pf_step(
     )
     idx = systematic_resample(w, rng)
     n = states.shape[0]
-    return ParticleSet(states[idx], np.full(n, 1.0 / n)), record
+    return ParticleSet(np.take(states, idx, axis=0), np.full(n, 1.0 / n)), record

@@ -94,7 +94,11 @@ class GaussianPossibility:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` points from the Gaussian density of this shape, shape (size, d)."""
-        return self.mean + rng.standard_normal((int(size), self.dim)) @ self.chol.T
+        return self.mean + self.deviation(rng, size)
+
+    def deviation(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The draws of :meth:`sample` before the mean is added, shape (size, d)."""
+        return rng.standard_normal((int(size), self.dim)) @ self.chol.T
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,11 @@ class WaterPouredDensity:
     plateau_mass: float
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` exact samples, shape (size, d).
+        """Draw ``size`` exact samples, shape (size, d)."""
+        return self.source.mean + self.deviation(rng, size)
+
+    def deviation(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The draws of :meth:`sample` before the source mean is added, shape (size, d).
 
         Composition method: with probability ``plateau_mass`` draw uniformly
         inside the plateau ellipsoid, otherwise draw from the Gaussian-shaped
@@ -139,7 +147,7 @@ class WaterPouredDensity:
             t = stats.chi2.isf(rng.random(m) * sf_r, d)
             radii[~on_plateau] = np.sqrt(t)
 
-        return self.source.mean + (radii[:, None] * directions) @ self.source.chol.T
+        return (radii[:, None] * directions) @ self.source.chol.T
 
 
 @dataclass(frozen=True)
@@ -261,15 +269,17 @@ def sample_discrete(pour: DiscreteWaterPour, rng: np.random.Generator, count: in
     """Inverse-CDF categorical sampling: ``count`` independent indices.
 
     Draws ``count`` uniforms in one call, searches the cumulative pmf with
-    the uniforms in ascending order (each search then starts from the
-    previous result) and scatters each index back to its uniform's
-    position.  Indices and random stream are those of searching the
-    unsorted uniforms.
+    the uniforms in ascending order of their top 16 bits (each search then
+    starts near the previous result) and scatters each index back to its
+    uniform's position.  Indices and random stream are those of searching
+    the unsorted uniforms.
     """
     cum = np.cumsum(pour.pmf)
     cum[-1] = 1.0  # guard against rounding in the last cell
     u = rng.random(int(count))
-    order = np.argsort(u)
+    # A radix sort on the top 16 bits orders the uniforms well enough for
+    # the search to benefit; each search result does not depend on the order.
+    order = np.argsort((u * 65536.0).astype(np.uint16), kind="stable")
     idx = np.empty(u.shape[0], dtype=np.intp)
-    idx[order] = np.searchsorted(cum, u[order], side="right")
+    idx[order] = np.searchsorted(cum, np.take(u, order), side="right")
     return idx

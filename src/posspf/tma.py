@@ -64,16 +64,27 @@ def process_noise_matrix(T: float, q: float) -> np.ndarray:
 def bearings_of(states: np.ndarray) -> np.ndarray:
     """Bearings of an (n, 4) array of relative states, radians clockwise from north."""
     x, y = states[:, 0], states[:, 2]
-    if np.any((x == 0.0) & (y == 0.0)):
+    # x.all() is the cheaper test and almost always passes on its own.
+    if not x.all() and np.any((x == 0.0) & (y == 0.0)):
         raise AtOrigin("bearing undefined at zero range")
     beta = np.arctan2(x, y)
     # atan2(-0.0, y < 0) is -pi; report the seam as +pi, as wrap_angle does.
-    return np.where(beta == -np.pi, np.pi, beta)
+    beta[beta == -np.pi] = np.pi
+    return beta
 
 
 def bearing_log_likelihood(states: np.ndarray, z: float, sigma: float) -> np.ndarray:
     """Log of the Gaussian-shaped bearing likelihood, residual wrapped to (-pi, pi]."""
-    res = wrap_angle(z - bearings_of(np.atleast_2d(states)))
+    res = z - bearings_of(np.atleast_2d(states))
+    if -np.pi <= z <= np.pi:
+        # Here res lies in [-2pi, 2pi), so t = pi - res lies in (-pi, 3pi].
+        # On that range fmod(t, 2pi) is exact and % adds 2pi only to a
+        # negative t, so one shift gives wrap_angle's (pi - res) % 2pi bit
+        # for bit, and pi minus it is wrap_angle(res) up to the sign of zero.
+        t = np.pi - res
+        res = np.pi - np.where(t < 0.0, t + 2.0 * np.pi, np.where(t >= 2.0 * np.pi, t - 2.0 * np.pi, t))
+    else:
+        res = wrap_angle(res)
     return -0.5 * (res / sigma) ** 2
 
 
@@ -90,6 +101,8 @@ class ObserverTrajectory:
             raise ValueError("observer states must have shape (scans, 4)")
         if states.shape[0] < 2:
             raise ValueError("observer trajectory needs at least 2 scans")
+        if not np.all(np.isfinite(states)):
+            raise ValueError("observer states must be finite")
         gaps_x = states[1:, 0] - states[:-1, 0] - T * states[:-1, 1]
         gaps_y = states[1:, 2] - states[:-1, 2] - T * states[:-1, 3]
         scale = max(1.0, np.abs(states[:, [0, 2]]).max())

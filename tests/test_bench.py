@@ -173,6 +173,13 @@ def test_non_finite_final_error_is_divergent(final_error, divergent):
         {"noise_sigma_deg": math.nan},
         {"noise_sigma_deg": math.inf},
         {"noise_kind": "student-t", "noise_nu": math.nan},
+        {"initial_range_m": 0.0},
+        {"initial_range_m": math.inf},
+        {"initial_bearing_deg": math.nan},
+        {"target_heading_deg": math.inf},
+        {"target_speed": math.nan},
+        {"observer_speed": math.inf},
+        {"observer_headings_deg": (70.0, math.nan)},
     ],
 )
 def test_non_finite_scenario_values_rejected(override):

@@ -161,6 +161,50 @@ def test_non_finite_bound_exits_1_naming_scan_and_writes_no_csv(tmp_path, capsys
     assert not out.exists()
 
 
+BAD_KEYS_OF_RUN_AND_TABLE1 = [
+    ("experiment.base_seed=-1", "[experiment] base_seed"),
+    ("scenario.target_range_km=0", "[scenario] target_range_km"),
+    ("scenario.target_range_km=-0.0", "[scenario] target_range_km"),
+    ("scenario.target_bearing_deg=nan", "[scenario] target_bearing_deg"),
+    ("scenario.target_heading_deg=inf", "[scenario] target_heading_deg"),
+    ("scenario.target_speed_kn=nan", "[scenario] target_speed_kn"),
+    ("scenario.observer_speed_kn=inf", "[scenario] observer_speed_kn"),
+    ("scenario.observer_headings_deg=70, nan", "[scenario] observer_headings_deg"),
+    ("scenario.observer_headings_deg=-inf, 340", "[scenario] observer_headings_deg"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, override, key",
+    [(command, *case) for case in BAD_KEYS_OF_RUN_AND_TABLE1 for command in ("run", "table1")]
+    + [("table1", "experiment.nu_grid=3, nan", "[experiment] nu_grid")],
+)
+def test_bad_experiment_or_geometry_exits_2_naming_the_key(tmp_path, capsys, command, override, key):
+    out = tmp_path / "out"
+    small_grid = ["--set", "experiment.n_grid=100", "--set", "experiment.nu_grid=3"]
+    code = main([command, "--set", f"output.directory={out}"] + FAST_RUN + small_grid + ["--set", override])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infinite_noise_dof_is_accepted(tmp_path):
+    args = ["run", "--set", f"output.directory={tmp_path}", "--set", "scenario.noise=student-t"]
+    assert main(args + ["--set", "scenario.noise_dof=inf"] + FAST_RUN) == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_checks_the_bound_before_the_batch_starts(tmp_path, capsys, monkeypatch):
+    started = []
+    monkeypatch.setattr("posspf.cli.run_batch", lambda *args: started.append(args))
+    out = tmp_path / "out"
+    code = main(["run", "--set", "scenario.process_noise=1e300", "--set", f"output.directory={out}"] + FAST_RUN)
+    assert code == 1
+    assert "not finite at scan 3 " in capsys.readouterr().err
+    assert started == []
+    assert not out.exists()
+
+
 CRLB_NUMERIC_KEYS = [
     "scenario.sample_time_s",
     "scenario.target_range_km",

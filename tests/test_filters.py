@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posspf.filters import (
     AllWeightsZero,
@@ -108,6 +110,30 @@ def test_draws_consume_the_reference_rng_stream():
         lambda rng: means + poured.sample(rng, n),
     )
     _assert_same_stream(lambda rng: transition.sample_model(states, rng), gaussian(means, np.linalg.cholesky(Q)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(st.just(1), st.integers(min_value=1, max_value=300)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    offset=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=4, max_size=4),
+    proposal=st.sampled_from(["density", "max-entropy"]),
+    inflation=st.sampled_from([1.0, 1.5, 2.0]),
+)
+def test_propagation_equals_broadcast_means_plus_sample(n, seed, offset, proposal, inflation):
+    # The reference is the textbook expression: the means broadcast the
+    # offset over the rows, then the proposal's sample (mean zero) is added.
+    F, Q = transition_matrix(40.0), process_noise_matrix(40.0, 1e-3)
+    offset = np.asarray(offset)
+    transition = LinearGaussianTransition(F, Q, offset)
+    states = np.random.default_rng(seed).uniform(-2e4, 2e4, (n, 4))
+    means = states @ F.T + offset
+    options = PossibilityPFOptions(proposal=proposal, proposal_inflation=inflation)
+    density = GaussianPossibility(np.zeros(4), Q * inflation)
+    source = water_pour_continuous(density) if proposal == "max-entropy" else density
+    _assert_same_stream(lambda rng: transition.propose(states, rng, options), lambda rng: means + source.sample(rng, n))
+    noise = GaussianPossibility(np.zeros(4), Q)
+    _assert_same_stream(lambda rng: transition.sample_model(states, rng), lambda rng: means + noise.sample(rng, n))
 
 
 def test_init_rejects_zero_particles():

@@ -449,3 +449,45 @@ def test_sample_discrete_equals_unsorted_search_on_same_stream(n, count):
     assert np.array_equal(idx, expected)
     # Both consumed the same number of draws from the stream.
     assert sample_rng.random() == reference_rng.random()
+
+
+class FixedUniforms:
+    """Stands in for a generator whose next ``random(count)`` returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, count):
+        assert count == self.u.shape[0]
+        return self.u
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(
+        st.one_of(st.sampled_from([0.0, 2.0**-20, 0.125, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        min_size=1,
+        max_size=30,
+    ),
+    unit_pos=st.integers(min_value=0, max_value=29),
+    # u = (top * 2**36 + low) / 2**52 is exact, with top as its top 16 bits:
+    # a few tops shared by many uniforms, in arbitrary order.
+    tops=st.lists(st.integers(min_value=0, max_value=65535), min_size=1, max_size=4),
+    lows=st.lists(st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2**36 - 1)),
+                  min_size=1, max_size=200),
+    on_cells=st.booleans(),
+)
+def test_sample_discrete_equals_unsorted_search(weights, unit_pos, tops, lows, on_cells):
+    w = np.asarray(weights)
+    w[unit_pos % len(w)] = 1.0
+    pour = water_pour_discrete(w)
+    cum = np.cumsum(pour.pmf)
+    cum[-1] = 1.0
+    u = np.array([(tops[i % len(tops)] * 2.0**36 + low) / 2.0**52 for i, low in lows])
+    if on_cells:
+        # Uniforms exactly on cell boundaries exercise side="right".
+        u = np.concatenate((u, cum[cum < 1.0], [0.0]))
+    idx = sample_discrete(pour, FixedUniforms(u), u.shape[0])
+    expected = np.searchsorted(cum, u, side="right")
+    assert idx.dtype == expected.dtype
+    assert np.array_equal(idx, expected)

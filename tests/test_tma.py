@@ -268,6 +268,32 @@ def test_bearing_and_likelihood_across_the_wrap_due_south(x, y, offset):
     )
 
 
+SEAM_ANGLES = [math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0), 0.0, -0.0]
+# x on both sides of due south (and due north) down to signed zeros, so
+# bearings reach both ends of (-pi, pi] and residuals come near +-2pi.
+SEAM_X = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-9, -1e-9]),
+    st.floats(min_value=-1e5, max_value=1e5),
+)
+SEAM_Y = st.one_of(st.sampled_from([-5e3, 5e3, 0.0, -0.0]), st.floats(min_value=-1e5, max_value=1e5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    z=st.one_of(
+        st.sampled_from(SEAM_ANGLES),
+        st.floats(min_value=-math.pi, max_value=math.pi),
+        st.floats(min_value=-10.0, max_value=10.0),
+    ),
+    points=st.lists(st.tuples(SEAM_X, SEAM_Y).filter(lambda p: p != (0.0, 0.0)), min_size=1, max_size=12),
+)
+def test_log_likelihood_wrap_equals_wrap_angle(z, points):
+    states = np.array([[x, 0.0, y, 0.0] for x, y in points])
+    sigma = 1.0 * DEG
+    expected = -0.5 * (wrap_angle(z - bearings_of(states)) / sigma) ** 2
+    assert np.array_equal(bearing_log_likelihood(states, z, sigma), expected)
+
+
 def test_wrap_angle_range():
     assert wrap_angle(math.pi) == pytest.approx(math.pi)
     assert wrap_angle(-math.pi) == pytest.approx(math.pi)  # maps into (-pi, pi]
