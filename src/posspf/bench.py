@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -48,9 +49,10 @@ FILTER_POSSIBILITY = "possibility"
 FILTER_STANDARD = "standard"
 
 
-def is_divergent(final_error_m: float, threshold_m: float = DIVERGENCE_THRESHOLD_M) -> bool:
-    """A run diverges unless its final position error is finite and at most the threshold."""
-    return not final_error_m <= threshold_m
+def is_divergent(errors_m, threshold_m: float = DIVERGENCE_THRESHOLD_M) -> bool:
+    """A run diverges unless every position error is finite and the final one is at most the threshold."""
+    errors_m = np.atleast_1d(errors_m)
+    return not (np.isfinite(errors_m).all() and errors_m[-1] <= threshold_m)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -291,27 +293,26 @@ def run_single(
         return bearing_log_likelihood(states, meas, sigma)
 
     track = np.full((scenario.scan_count, 2), np.nan)
-    if filter_kind == FILTER_POSSIBILITY:
-        ps = possibility_pf_init(prior_poss, n, rng_filter, options)
-        with np.errstate(divide="ignore"):
-            j0 = peak_set_representative(ps.states, np.log(ps.weights), options.map_peak_cut)
-        track[0] = ps.states[j0][[0, 2]]
-        step = partial(possibility_pf_step, options=options)
-    else:
-        ps = standard_pf_init(prior_poss, n, rng_filter)
-        track[0] = ps.weights @ ps.states[:, [0, 2]]
-        step = standard_pf_step
-
     collapsed = False
-    for k in range(1, scenario.scan_count):
-        U = observer_input(scenario.observer.states[k], scenario.observer.states[k - 1], scenario.T)
-        transition.offset = -U
-        try:
+    try:
+        if filter_kind == FILTER_POSSIBILITY:
+            ps = possibility_pf_init(prior_poss, n, rng_filter, options)
+            with np.errstate(divide="ignore"):
+                j0 = peak_set_representative(ps.states, np.log(ps.weights), options.map_peak_cut)
+            track[0] = ps.states[j0][[0, 2]]
+            step = partial(possibility_pf_step, options=options)
+        else:
+            ps = standard_pf_init(prior_poss, n, rng_filter)
+            track[0] = ps.weights @ ps.states[:, [0, 2]]
+            step = standard_pf_step
+
+        for k in range(1, scenario.scan_count):
+            U = observer_input(scenario.observer.states[k], scenario.observer.states[k - 1], scenario.T)
+            transition.offset = -U
             ps, record = step(ps, transition, log_lik, z[k], rng_filter, k)
-        except AllWeightsZero:
-            collapsed = True
-            break
-        track[k] = record.estimate[[0, 2]]
+            track[k] = record.estimate[[0, 2]]
+    except AllWeightsZero:
+        collapsed = True
 
     pos_errors = np.linalg.norm(track - rel[:, [0, 2]], axis=1)
     if collapsed:
@@ -322,7 +323,7 @@ def run_single(
         particles=n,
         estimate_track=track,
         pos_errors=pos_errors,
-        divergent=is_divergent(pos_errors[-1]),
+        divergent=is_divergent(pos_errors),
         collapsed=collapsed,
     )
 
@@ -361,15 +362,17 @@ def run_batch(
     """Independent seeded runs (base_seed + index) and their aggregates.
 
     Divergent runs are excluded from the RMS curve; the divergence
-    percentage carries a Wilson 95% interval.  Results do not depend on
-    the parallelism degree.
+    percentage carries a Wilson 95% interval.  At most ``parallelism``
+    worker processes run, and no more than there are runs or usable cores;
+    results do not depend on their number.
     """
     if runs < 1:
         raise ValueError("need at least one run")
     arglist = [(scenario, filter_kind, n, base_seed + i, prior, options) for i in range(runs)]
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            reports = list(pool.map(_run_single_args, arglist, chunksize=max(1, runs // (4 * parallelism))))
+    workers = min(parallelism, runs, len(os.sched_getaffinity(0)))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(_run_single_args, arglist, chunksize=max(1, runs // (4 * workers))))
     else:
         reports = [_run_single_args(a) for a in arglist]
 

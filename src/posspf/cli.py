@@ -8,10 +8,13 @@ table1  Divergence-percentage grid over particle counts and Student-t
         tails for both filters; writes table1.csv.
 crlb    Position-bound reference curve; writes crlb.csv.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration error.  run and
-table1 reject process_noise = 0, which only crlb accepts.  A bound curve
-that is not finite at some scan exits 1 and writes no CSV.  Outputs are
-byte-identical across repeated invocations with the same config.
+Exit codes: 0 success, 1 runtime failure, 2 configuration error.  Every
+config key is checked against its domain when the config loads, so any
+bad value exits 2 naming ``[section] key`` before a command starts, even
+a key the command does not read; run and table1 also reject
+process_noise = 0, which only crlb accepts.  A bound curve that is not
+finite at some scan exits 1 and writes no CSV.  Outputs are byte-identical
+across repeated invocations with the same config.
 """
 
 from __future__ import annotations
@@ -165,8 +168,6 @@ def cmd_crlb(cfg: Config) -> int:
             for k in range(scenario.scan_count)
         ),
     )
-    if result.singular_scans:
-        print(f"warning: singular information matrix at scans {result.singular_scans}", file=sys.stderr)
     print(f"crlb: scan 1 {result.position_bound[0]:.1f} m, final {result.position_bound[-1]:.1f} m")
     return 0
 

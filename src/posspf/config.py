@@ -2,9 +2,10 @@
 
 Config files use INI syntax with sections [scenario], [filter],
 [experiment], and [output].  Operator-facing units are kilometres, knots,
-and degrees; everything is converted to SI at parse time.  Process-noise
-intensity stays in m^2/s^3 (it has no operator-friendly unit).
-Every key has a default, so an empty file is a valid configuration.
+and degrees; the builders below convert to SI.  Process-noise intensity
+stays in m^2/s^3 (it has no operator-friendly unit).  ``KEYS`` is the one
+table of keys: default text, parser and domain.  ``load_config`` checks
+every key once, so a bad value fails before any command starts.
 """
 
 from __future__ import annotations
@@ -13,119 +14,136 @@ import configparser
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .bench import Scenario, build_canonical_scenario
 from .filters import PossibilityPFOptions
 from .tma import PriorConfig
 
 KNOT = 1852.0 / 3600.0  # metres per second
+DEGREE = math.pi / 180.0  # radians
 
 
 class ConfigError(ValueError):
     """Invalid configuration: unreadable file, bad syntax, or bad value."""
 
 
-_DEFAULTS = {
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True, "false": False, "no": False, "off": False, "0": False}
+
+
+def _numbers(raw: str) -> list[float]:
+    values = [float(part) for part in raw.split(",") if part.strip()]
+    if not values:
+        raise ValueError(raw)
+    return values
+
+
+# Parser name (as error messages print it) -> parser.
+PARSERS: dict[str, Callable[[str], Any]] = {
+    "a number": float,
+    "an integer": int,
+    "a boolean": lambda raw: _BOOLEANS[raw.strip().lower()],
+    "comma-separated numbers": _numbers,
+    "text": str.strip,
+}
+
+
+@dataclass(frozen=True)
+class Domain:
+    text: str
+    holds: Callable[[Any], bool]
+
+
+FINITE = Domain("finite", math.isfinite)
+POSITIVE = Domain("positive and finite", lambda x: 0 < x < math.inf)
+NONNEGATIVE = Domain("nonnegative and finite", lambda x: 0 <= x < math.inf)
+POSITIVE_OR_INF = Domain("positive (inf allowed)", lambda x: x > 0)  # NaN fails
+
+
+def at_least(k: int) -> Domain:
+    return Domain(f"at least {k}", lambda n: n >= k)
+
+
+def one_of(*choices: str) -> Domain:
+    return Domain("one of " + ", ".join(choices), lambda s: s in choices)
+
+
+@dataclass(frozen=True)
+class Key:
+    default: str  # hashed into every CSV header: changing it changes config_hash
+    parser: str
+    domain: Domain
+
+
+KEYS: dict[str, dict[str, Key]] = {
     "scenario": {
-        "scans": "40",
-        "sample_time_s": "40.0",
-        "target_range_km": "10.0",
-        "target_bearing_deg": "0.0",
-        "target_speed_kn": "7.7754",       # 4.0 m/s
-        "target_heading_deg": "140.0",
-        "observer_speed_kn": "14.5788",    # 7.5 m/s
-        "observer_headings_deg": "70, 340, 70, 340",
-        "observer_leg_scans": "10",
-        "noise": "gaussian",
-        "noise_sigma_deg": "1.0",
-        "noise_dof": "inf",
-        "process_noise": "1e-3",
-        "deterministic_target": "false",
+        "scans":                 Key("40", "an integer", at_least(2)),
+        "sample_time_s":         Key("40.0", "a number", POSITIVE),
+        "target_range_km":       Key("10.0", "a number", POSITIVE),
+        "target_bearing_deg":    Key("0.0", "a number", FINITE),
+        "target_speed_kn":       Key("7.7754", "a number", NONNEGATIVE),   # 4.0 m/s
+        "target_heading_deg":    Key("140.0", "a number", FINITE),
+        "observer_speed_kn":     Key("14.5788", "a number", NONNEGATIVE),  # 7.5 m/s
+        "observer_headings_deg": Key("70, 340, 70, 340", "comma-separated numbers",
+                                     Domain("finite", lambda xs: all(map(math.isfinite, xs)))),
+        "observer_leg_scans":    Key("10", "an integer", at_least(1)),
+        "noise":                 Key("gaussian", "text", one_of("gaussian", "student-t")),
+        "noise_sigma_deg":       Key("1.0", "a number", POSITIVE),
+        "noise_dof":             Key("inf", "a number", POSITIVE_OR_INF),
+        "process_noise":         Key("1e-3", "a number", NONNEGATIVE),     # run and table1 need > 0
+        "deterministic_target":  Key("false", "a boolean", Domain("true/yes/on/1 or false/no/off/0", lambda b: True)),
     },
     "filter": {
-        "kind": "possibility",
-        "particles": "5000",
-        "sigma_deg": "1.0",
-        "range_prior_km": "10.0",
-        "range_prior_sigma_km": "3.5",
-        "velocity_prior_sigma_kn": "5.0540",  # 2.6 m/s
-        "init_covariance": "consistent",
-        "proposal": "density",
-        "transition_weighting": "ignorance",
-        "proposal_inflation": "1.5",
-        "map_peak_cut": "0.5",
+        "kind":                    Key("possibility", "text", one_of("possibility", "standard")),
+        "particles":               Key("5000", "an integer", at_least(1)),
+        "sigma_deg":               Key("1.0", "a number", POSITIVE),
+        "range_prior_km":          Key("10.0", "a number", POSITIVE),
+        "range_prior_sigma_km":    Key("3.5", "a number", POSITIVE),
+        "velocity_prior_sigma_kn": Key("5.0540", "a number", POSITIVE),    # 2.6 m/s
+        "init_covariance":         Key("consistent", "text", one_of("consistent", "swapped")),
+        "proposal":                Key("density", "text", one_of("density", "max-entropy")),
+        "transition_weighting":    Key("ignorance", "text", one_of("ignorance", "gaussian")),
+        "proposal_inflation":      Key("1.5", "a number", POSITIVE),
+        "map_peak_cut":            Key("0.5", "a number", NONNEGATIVE),
     },
     "experiment": {
-        "runs": "100",
-        "base_seed": "20240501",
-        "parallelism": "1",
-        "n_grid": "2000, 5000",
-        "nu_grid": "3, 5, 8, inf",
+        "runs":        Key("100", "an integer", at_least(1)),
+        "base_seed":   Key("20240501", "an integer", at_least(0)),
+        "parallelism": Key("1", "an integer", at_least(1)),
+        "n_grid":      Key("2000, 5000", "comma-separated numbers",
+                           Domain("whole numbers >= 1", lambda xs: all(x >= 1 and x.is_integer() for x in xs))),
+        "nu_grid":     Key("3, 5, 8, inf", "comma-separated numbers",
+                           Domain("positive (inf allowed)", lambda xs: all(x > 0 for x in xs))),
     },
     "output": {
-        "directory": ".",
+        "directory": Key(".", "text", Domain("a non-empty path", bool)),
     },
 }
 
 
+def _read(section: str, key: str):
+    """An accessor that reads one parsed value."""
+    return lambda self: self.parsed[section][key]
+
+
 @dataclass
 class Config:
-    """Fully resolved configuration with SI-unit accessors."""
+    """Raw key texts (hashed) and their parsed, checked values."""
 
     values: dict[str, dict[str, str]]
+    parsed: dict[str, dict[str, Any]]
     key_lines: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    # -- low-level typed getters ------------------------------------------------
-    def _raw(self, section: str, key: str) -> str:
-        return self.values[section][key]
-
     def _fail(self, section: str, key: str, message: str):
-        line = self.key_lines.get((section, key))
-        where = f" (line {line})" if line else ""
-        raise ConfigError(f"[{section}] {key}{where}: {message}")
+        raise _error(section, key, self.key_lines, message)
 
-    def get_float(self, section: str, key: str) -> float:
-        raw = self._raw(section, key)
-        try:
-            return float(raw)
-        except ValueError:
-            self._fail(section, key, f"expected a number, got {raw!r}")
-
-    def get_finite_float(self, section: str, key: str) -> float:
-        value = self.get_float(section, key)
-        if not math.isfinite(value):
-            self._fail(section, key, f"must be finite, got {value}")
+    def _si(self, section: str, key: str, scale: float) -> float:
+        """The value times ``scale``; fails naming the key if that leaves the key's domain."""
+        value, domain = self.parsed[section][key] * scale, KEYS[section][key].domain
+        if not domain.holds(value):
+            self._fail(section, key, f"must be {domain.text} in SI units, got {value!r}")
         return value
 
-    def get_int(self, section: str, key: str) -> int:
-        raw = self._raw(section, key)
-        try:
-            return int(raw)
-        except ValueError:
-            self._fail(section, key, f"expected an integer, got {raw!r}")
-
-    def get_bool(self, section: str, key: str) -> bool:
-        raw = self._raw(section, key).strip().lower()
-        if raw in ("true", "yes", "1", "on"):
-            return True
-        if raw in ("false", "no", "0", "off"):
-            return False
-        self._fail(section, key, f"expected a boolean, got {raw!r}")
-
-    def get_choice(self, section: str, key: str, choices) -> str:
-        raw = self._raw(section, key).strip()
-        if raw not in choices:
-            self._fail(section, key, f"expected one of {sorted(choices)}, got {raw!r}")
-        return raw
-
-    def get_float_list(self, section: str, key: str) -> list[float]:
-        raw = self._raw(section, key)
-        try:
-            return [float(part.strip()) for part in raw.split(",") if part.strip()]
-        except ValueError:
-            self._fail(section, key, f"expected comma-separated numbers, got {raw!r}")
-
-    # -- domain objects ---------------------------------------------------------
     def scenario(self, filtering: bool = False) -> Scenario:
         """The configured scenario.
 
@@ -133,107 +151,59 @@ class Config:
         noise must be nondegenerate, so process_noise = 0 is rejected here.
         The bound alone (``crlb``) accepts a noise-free target.
         """
-        if filtering and self.get_float("scenario", "process_noise") == 0:
+        s = self.parsed["scenario"]
+        if filtering and s["process_noise"] == 0:
             self._fail("scenario", "process_noise", "must be positive to run a filter (only crlb accepts 0)")
-        range_km = self.get_finite_float("scenario", "target_range_km")
-        if not range_km > 0:
-            self._fail("scenario", "target_range_km", f"must be positive (no bearing at zero range), got {range_km}")
-        headings = self.get_float_list("scenario", "observer_headings_deg")
-        if not all(map(math.isfinite, headings)):
-            self._fail("scenario", "observer_headings_deg", f"must be finite, got {headings}")
+        range_m = self._si("scenario", "target_range_km", 1e3)
+        self._si("scenario", "noise_sigma_deg", DEGREE)  # the library converts to radians
+        self._si("filter", "sigma_deg", DEGREE)
         try:
             return build_canonical_scenario(
-                scan_count=self.get_int("scenario", "scans"),
-                T=self.get_float("scenario", "sample_time_s"),
-                initial_range_m=range_km * 1e3,
-                initial_bearing_deg=self.get_finite_float("scenario", "target_bearing_deg"),
-                target_speed=self.get_finite_float("scenario", "target_speed_kn") * KNOT,
-                target_heading_deg=self.get_finite_float("scenario", "target_heading_deg"),
-                observer_speed=self.get_finite_float("scenario", "observer_speed_kn") * KNOT,
-                observer_headings_deg=tuple(headings),
-                observer_leg_scans=self.get_int("scenario", "observer_leg_scans"),
-                q=self.get_float("scenario", "process_noise"),
-                noise_kind=self.get_choice("scenario", "noise", ("gaussian", "student-t")),
-                noise_sigma_deg=self.get_float("scenario", "noise_sigma_deg"),
-                noise_nu=self.get_float("scenario", "noise_dof"),
-                filter_sigma_deg=self.get_float("filter", "sigma_deg"),
-                deterministic_target=self.get_bool("scenario", "deterministic_target"),
+                scan_count=s["scans"],
+                T=s["sample_time_s"],
+                initial_range_m=range_m,
+                initial_bearing_deg=s["target_bearing_deg"],
+                target_speed=s["target_speed_kn"] * KNOT,
+                target_heading_deg=s["target_heading_deg"],
+                observer_speed=s["observer_speed_kn"] * KNOT,
+                observer_headings_deg=tuple(s["observer_headings_deg"]),
+                observer_leg_scans=s["observer_leg_scans"],
+                q=s["process_noise"],
+                noise_kind=s["noise"],
+                noise_sigma_deg=s["noise_sigma_deg"],
+                noise_nu=s["noise_dof"],
+                filter_sigma_deg=self.parsed["filter"]["sigma_deg"],
+                deterministic_target=s["deterministic_target"],
             )
-        except ConfigError:
-            raise
         except ValueError as exc:
-            raise ConfigError(f"invalid scenario: {exc}") from exc
+            # Every key is in its domain, so only the observer track as a whole
+            # is left: it must manoeuvre, and its positions must not overflow.
+            self._fail("scenario", "observer_headings_deg", f"{exc} (the track also depends on "
+                       "observer_speed_kn, observer_leg_scans, sample_time_s and scans)")
 
     def prior(self) -> PriorConfig:
-        v = self.get_float("filter", "velocity_prior_sigma_kn") * KNOT
-        try:
-            return PriorConfig(
-                range_mean=self.get_float("filter", "range_prior_km") * 1e3,
-                range_sigma=self.get_float("filter", "range_prior_sigma_km") * 1e3,
-                vel_sigma=(v, v),
-                covariance_form=self.get_choice("filter", "init_covariance", ("consistent", "swapped")),
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"invalid prior: {exc}") from exc
+        v = self.parsed["filter"]["velocity_prior_sigma_kn"] * KNOT
+        return PriorConfig(
+            range_mean=self._si("filter", "range_prior_km", 1e3),
+            range_sigma=self._si("filter", "range_prior_sigma_km", 1e3),
+            vel_sigma=(v, v),
+            covariance_form=self.parsed["filter"]["init_covariance"],
+        )
 
     def filter_options(self) -> PossibilityPFOptions:
-        try:
-            return PossibilityPFOptions(
-                proposal=self.get_choice("filter", "proposal", ("density", "max-entropy")),
-                transition_weighting=self.get_choice(
-                    "filter", "transition_weighting", ("ignorance", "gaussian")
-                ),
-                proposal_inflation=self.get_float("filter", "proposal_inflation"),
-                map_peak_cut=self.get_float("filter", "map_peak_cut"),
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"invalid filter options: {exc}") from exc
+        names = ("proposal", "transition_weighting", "proposal_inflation", "map_peak_cut")
+        return PossibilityPFOptions(**{name: self.parsed["filter"][name] for name in names})
 
-    def filter_kind(self) -> str:
-        return self.get_choice("filter", "kind", ("possibility", "standard"))
-
-    def particles(self) -> int:
-        n = self.get_int("filter", "particles")
-        if n < 1:
-            self._fail("filter", "particles", "must be at least 1")
-        return n
-
-    def runs(self) -> int:
-        r = self.get_int("experiment", "runs")
-        if r < 1:
-            self._fail("experiment", "runs", "must be at least 1")
-        return r
-
-    def base_seed(self) -> int:
-        seed = self.get_int("experiment", "base_seed")
-        if seed < 0:
-            self._fail("experiment", "base_seed", f"must be nonnegative, got {seed}")
-        return seed
-
-    def parallelism(self) -> int:
-        p = self.get_int("experiment", "parallelism")
-        if p < 1:
-            self._fail("experiment", "parallelism", "must be at least 1")
-        return p
+    filter_kind = _read("filter", "kind")
+    particles = _read("filter", "particles")
+    runs = _read("experiment", "runs")
+    base_seed = _read("experiment", "base_seed")
+    parallelism = _read("experiment", "parallelism")
+    nu_grid = _read("experiment", "nu_grid")
+    output_directory = _read("output", "directory")
 
     def n_grid(self) -> list[int]:
-        grid = self.get_float_list("experiment", "n_grid")
-        if not grid or not all(x >= 1 and x.is_integer() for x in grid):
-            self._fail("experiment", "n_grid", f"needs positive integer particle counts, got {grid}")
-        return [int(x) for x in grid]
-
-    def nu_grid(self) -> list[float]:
-        grid = self.get_float_list("experiment", "nu_grid")
-        if not grid or not all(nu > 0 for nu in grid):  # NaN fails nu > 0
-            self._fail("experiment", "nu_grid", f"needs positive degrees of freedom, got {grid}")
-        return grid
-
-    def output_directory(self) -> str:
-        return self._raw("output", "directory")
+        return [int(n) for n in self.parsed["experiment"]["n_grid"]]
 
     def hash(self) -> str:
         """Stable digest of the experiment configuration, for CSV headers.
@@ -250,29 +220,40 @@ class Config:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _error(section: str, key: str, key_lines: dict[tuple[str, str], int], message: str) -> ConfigError:
+    line = key_lines.get((section, key))
+    return ConfigError(f"[{section}] {key}" + (f" (line {line})" if line else "") + f": {message}")
+
+
 def _key_line_map(text: str) -> dict[tuple[str, str], int]:
-    lines = {}
-    section = None
+    lines, section = {}, None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith(("#", ";")):
-            continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip().lower()
-            continue
-        if "=" in stripped and section is not None:
-            key = stripped.split("=", 1)[0].strip().lower()
-            lines[(section, key)] = lineno
+        elif "=" in stripped and section is not None and not stripped.startswith(("#", ";")):
+            lines[(section, stripped.split("=", 1)[0].strip().lower())] = lineno
     return lines
 
 
+def _parse(section: str, key: str, raw: str, key_lines) -> Any:
+    row = KEYS[section][key]
+    try:
+        value = PARSERS[row.parser](raw)
+    except (KeyError, ValueError):
+        raise _error(section, key, key_lines, f"expected {row.parser}, got {raw!r}") from None
+    if not row.domain.holds(value):
+        raise _error(section, key, key_lines, f"must be {row.domain.text}, got {raw!r}")
+    return value
+
+
 def load_config(path: str | None, overrides: list[str] | None = None) -> Config:
-    """Load a config file (or pure defaults), then apply --set overrides.
+    """Load a config file (or pure defaults), apply --set overrides, check every key.
 
     Overrides use the form ``section.key=value``.  Unknown sections or keys
-    are errors, naming the offending entry.
+    and values outside their domain are errors naming the offending entry.
     """
-    values = {section: dict(keys) for section, keys in _DEFAULTS.items()}
+    values = {section: {key: row.default for key, row in rows.items()} for section, rows in KEYS.items()}
     key_lines: dict[tuple[str, str], int] = {}
 
     if path is not None:
@@ -281,7 +262,11 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Config:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        # No default section and no interpolation: [DEFAULT] is an unknown
+        # section like any other, and values are read as --set reads them.
+        parser = configparser.ConfigParser(
+            inline_comment_prefixes=("#", ";"), default_section="", interpolation=None
+        )
         try:
             parser.read_string(text, source=path)
         except configparser.Error as exc:
@@ -293,9 +278,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Config:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, value in parser.items(section):
                 if key not in values[sec]:
-                    line = key_lines.get((sec, key))
-                    where = f" (line {line})" if line else ""
-                    raise ConfigError(f"unknown key [{section}] {key}{where}")
+                    raise _error(sec, key, key_lines, "unknown key")
                 values[sec][key] = value
 
     for item in overrides or []:
@@ -307,5 +290,10 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Config:
         if section not in values or key not in values[section]:
             raise ConfigError(f"unknown override key {section}.{key}")
         values[section][key] = value
+        key_lines.pop((section, key), None)  # the override, not the file line, set it
 
-    return Config(values=values, key_lines=key_lines)
+    parsed = {
+        section: {key: _parse(section, key, raw, key_lines) for key, raw in keys.items()}
+        for section, keys in values.items()
+    }
+    return Config(values=values, parsed=parsed, key_lines=key_lines)

@@ -197,14 +197,15 @@ def possibility_pf_init(
     """Draw initial support points and weight them by the prior possibility.
 
     Weights are the prior possibility values at the samples, divided by
-    their maximum (max weight exactly 1).
+    their maximum (max weight exactly 1).  Raises :class:`AllWeightsZero`
+    when that maximum is not finite, e.g. for a NaN first bearing.
     """
     if n < 1:
         raise ValueError("particle count must be at least 1")
     source = water_pour_continuous(prior) if options.proposal == "max-entropy" else prior
     states = source.sample(rng, n)
     log_w = prior.log_eval(states)
-    log_w = log_w - log_w.max()
+    log_w = log_w - _finite_peak(log_w, 0)
     return ParticleSet(states, np.exp(log_w))
 
 

@@ -54,6 +54,7 @@ def process_noise_matrix(T: float, q: float) -> np.ndarray:
         raise ValueError("sampling interval must be positive")
     if q <= 0:
         raise ValueError("process noise intensity must be positive for filtering")
+    T = np.float64(T)  # its ** gives inf where a Python float's raises OverflowError
     block = q * np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
     Q = np.zeros((4, 4))
     Q[:2, :2] = block
@@ -158,7 +159,9 @@ def init_prior(
     s, c = np.sin(z1), np.cos(z1)
     mean = np.array([prior.range_mean * s, -observer_vel[0], prior.range_mean * c, -observer_vel[1]])
 
-    range_var = prior.range_sigma**2
+    # numpy's ** gives inf (which the bound reports) where a Python float's
+    # raises OverflowError; both call the same pow, so the bits agree.
+    range_var = np.float64(prior.range_sigma) ** 2
     cross_var = (prior.range_mean * sigma) ** 2
     if prior.covariance_form == "consistent":
         var_x = range_var * s * s + cross_var * c * c
@@ -168,7 +171,8 @@ def init_prior(
         var_y = range_var * s * s + cross_var * c * c
     cov_xy = (range_var - cross_var) * s * c
 
-    P = np.diag([var_x, prior.vel_sigma[0] ** 2, var_y, prior.vel_sigma[1] ** 2])
+    vx, vy = map(np.float64, prior.vel_sigma)
+    P = np.diag([var_x, vx**2, var_y, vy**2])
     P[0, 2] = P[2, 0] = cov_xy
     return GaussianPossibility(mean, P)
 
@@ -188,7 +192,6 @@ class CrlbResult:
 
     bounds: np.ndarray          # (scans, 4, 4)
     position_bound: np.ndarray  # (scans,) metres
-    singular_scans: list[int]
 
 
 def crlb_curve(
@@ -200,31 +203,22 @@ def crlb_curve(
 ) -> CrlbResult:
     """Recursive Cramer-Rao bound along a known relative trajectory.
 
-    Information recursion J_k = [F J_{k-1}^-1 F' + Q]^-1 + H_k' H_k / sigma^2
-    with H_k the bearing gradient at the true relative state; J_1 is the
-    inverse prior spread.  A singular information matrix is reported, not
-    raised; the scan keeps a pseudo-inverse bound.
+    Covariance form of the information recursion
+    J_k = [F J_{k-1}^-1 F' + Q]^-1 + H_k' H_k / sigma^2 (Tichavsky, Muravchik
+    & Nehorai 1998): predict P = F P F' + Q, then a scalar-gain Joseph-form
+    update with H_k the bearing gradient at the true relative state.  P_1 is
+    the prior spread.  Nothing is inverted, so large finite q stays finite.
     """
     F = transition_matrix(T)
     Q = process_noise_matrix(T, q) if q > 0 else np.zeros((4, 4))
-    scans = true_relative.shape[0]
-    J = np.linalg.inv(prior.spread)
-    bounds = np.empty((scans, 4, 4))
-    singular: list[int] = []
-    bounds[0] = prior.spread
-    for k in range(1, scans):
-        try:
-            pred_cov = F @ np.linalg.inv(J) @ F.T + Q
-            J = np.linalg.inv(pred_cov)
-        except np.linalg.LinAlgError:
-            singular.append(k)
-            J = np.linalg.pinv(F @ np.linalg.pinv(J) @ F.T + Q)
+    bounds = np.empty((true_relative.shape[0], 4, 4))
+    bounds[0] = P = prior.spread
+    for k in range(1, len(bounds)):
+        P = F @ P @ F.T + Q
         H = bearing_jacobian(true_relative[k])
-        J = J + np.outer(H, H) / sigma**2
-        try:
-            bounds[k] = np.linalg.inv(J)
-        except np.linalg.LinAlgError:
-            singular.append(k)
-            bounds[k] = np.linalg.pinv(J)
+        PH = P @ H
+        gain = PH / (H @ PH + sigma**2)
+        A = np.eye(4) - np.outer(gain, H)
+        bounds[k] = P = A @ P @ A.T + sigma**2 * np.outer(gain, gain)
     position_bound = np.sqrt(bounds[:, 0, 0] + bounds[:, 2, 2])
-    return CrlbResult(bounds=bounds, position_bound=position_bound, singular_scans=singular)
+    return CrlbResult(bounds=bounds, position_bound=position_bound)

@@ -161,6 +161,21 @@ def test_non_finite_final_error_is_divergent(final_error, divergent):
     assert is_divergent(final_error) is divergent
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_error_at_any_scan_is_divergent(bad):
+    assert not is_divergent([3e3, 20.0, 5.0])
+    assert is_divergent([3e3, bad, 5.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_first_bearing_makes_a_divergent_run_not_a_crash():
+    # Student-t draws with a vanishing dof overflow: every bearing is NaN.
+    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2, noise_kind="student-t", noise_nu=1e-300)
+    for kind in (FILTER_POSSIBILITY, FILTER_STANDARD):
+        report = run_single(s, kind, 30, 1)
+        assert report.divergent
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -229,6 +244,40 @@ def test_batch_parallelism_does_not_change_results():
     assert serial.divergence_pct == parallel.divergence_pct
     for a, b in zip(serial.reports, parallel.reports):
         np.testing.assert_array_equal(a.estimate_track, b.estimate_track)
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and starts no process."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        SerialPool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "parallelism, runs, cores, workers",
+    [(10**6, 2, 64, 2), (10**6, 5, 3, 3), (2, 5, 3, 2), (3, 3, 1, None), (1, 4, 8, None)],
+)
+def test_batch_starts_at_most_one_worker_per_run_and_core(monkeypatch, parallelism, runs, cores, workers):
+    monkeypatch.setattr("posspf.bench.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("posspf.bench.os.sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(SerialPool, "started", [])
+    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+    batch = run_batch(s, FILTER_STANDARD, 20, runs, 3, parallelism=parallelism)
+    assert SerialPool.started == ([] if workers is None else [workers])
+    serial = run_batch(s, FILTER_STANDARD, 20, runs, 3, parallelism=1)
+    for a, b in zip(batch.reports, serial.reports):
+        np.testing.assert_array_equal(a.pos_errors, b.pos_errors)
 
 
 def test_wilson_interval_basic():

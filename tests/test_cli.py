@@ -1,16 +1,22 @@
 """Tests for the command-line front end and its CSV contract."""
 
+import contextlib
+import io
 import math
+import re
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posspf.cli import main
-from posspf.config import KNOT, ConfigError, load_config
+from posspf.config import KEYS, KNOT, ConfigError, load_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FAST_RUN = [
     "--set", "experiment.runs=3",
@@ -36,7 +42,7 @@ def test_defaults_load_without_file():
     scenario = cfg.scenario()
     assert scenario.scan_count == 40
     # knots round-trip close to the SI canonical speeds
-    assert cfg.get_float("scenario", "target_speed_kn") * KNOT == pytest.approx(4.0, abs=1e-3)
+    assert cfg.parsed["scenario"]["target_speed_kn"] * KNOT == pytest.approx(4.0, abs=1e-3)
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -54,9 +60,8 @@ def test_unknown_key_names_key_and_line(tmp_path):
 def test_bad_value_names_key(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[experiment]\nruns = many\n")
-    cfg = load_config(str(path))
-    with pytest.raises(ConfigError, match=r"\[experiment\] runs"):
-        cfg.runs()
+    with pytest.raises(ConfigError, match=r"\[experiment\] runs \(line 2\): expected an integer"):
+        load_config(str(path))
 
 
 def test_override_applies_and_validates():
@@ -73,6 +78,93 @@ def test_config_hash_tracks_content():
     b = load_config(None, ["experiment.runs=7"])
     assert a.hash() != b.hash()
     assert a.hash() == load_config(None).hash()
+
+
+def _perfbench_workloads():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return workloads
+
+
+# config_hash headers of the defaults and of the benchmark's workloads: the
+# default texts and the hashed form must not move, or every CSV header does.
+PINNED_HASHES = {
+    None: "7877c5b983c8",
+    "mc-poss-n5000": "4b36324f3a14",
+    "mc-std-n5000-t3": "ca0f2cd60409",
+    "grid-n500-par2": "7503ce363b0f",
+}
+
+
+@pytest.mark.parametrize("workload", PINNED_HASHES)
+def test_config_hash_is_pinned(workload):
+    if workload is None:
+        assert load_config(None).hash() == PINNED_HASHES[None]
+        return
+    wl = _perfbench_workloads()
+    overrides = [*wl.WORKLOADS[workload].overrides, f"experiment.base_seed={wl.DEFAULT_SEED}"]
+    assert load_config(None, overrides).hash() == PINNED_HASHES[workload]
+    assert load_config(None, list(wl.WORKLOADS[workload].overrides)).hash() == PINNED_HASHES[workload]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[DEFAULT]\nscans = 3\n", r"unknown config section \[DEFAULT\]"),
+        ("[DEFAULT]\nparticles = 7\n[scenario]\nscans = 20\n", r"unknown config section \[DEFAULT\]"),
+    ],
+)
+def test_default_section_is_an_unknown_section(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(path))
+    assert main(["crlb", "--config", str(path), "--set", f"output.directory={tmp_path / 'out'}"]) == 2
+    assert "[DEFAULT]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_file_values_are_not_interpolated(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[output]\ndirectory = run-50%\n")
+    assert load_config(str(path)).output_directory() == "run-50%"
+
+
+def test_override_replaces_a_bad_file_value_and_its_line(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[experiment]\nruns = many\nbase_seed = 3\n")
+    assert load_config(str(path), ["experiment.runs=7"]).runs() == 7
+    with pytest.raises(ConfigError, match=r"^\[experiment\] base_seed: must be at least 0"):
+        load_config(str(path), ["experiment.runs=7", "experiment.base_seed=-1"])
+
+
+def test_every_key_is_checked_even_by_commands_that_do_not_read_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["crlb", "--set", "experiment.nu_grid=nan", "--set", f"output.directory={out}"]) == 2
+    assert "[experiment] nu_grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_table_has_every_key_once():
+    assert sum(len(rows) for rows in KEYS.values()) == 31
+    cfg = load_config(None)
+    assert {s: set(k) for s, k in cfg.values.items()} == {s: set(rows) for s, rows in KEYS.items()}
+
+
+def readme_key_rows(text):
+    return {line for line in text.splitlines() if line.startswith("| `[")}
+
+
+def test_readme_lists_every_key_with_its_default_and_domain():
+    expected = {
+        f"| `[{section}] {key}` | `{row.default}` | {row.parser} | {row.domain.text} |"
+        for section, rows in KEYS.items()
+        for key, row in rows.items()
+    }
+    assert readme_key_rows((ROOT / "README.md").read_text()) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +242,6 @@ def test_zero_process_noise_is_accepted_by_crlb(tmp_path):
     [
         ("filter.sigma_deg=1e300", 1),
         ("filter.range_prior_km=1e300", 1),
-        ("scenario.process_noise=1e300", 3),
     ],
 )
 def test_non_finite_bound_exits_1_naming_scan_and_writes_no_csv(tmp_path, capsys, override, first_bad_scan):
@@ -159,6 +250,14 @@ def test_non_finite_bound_exits_1_naming_scan_and_writes_no_csv(tmp_path, capsys
     assert code == 1
     assert f"not finite at scan {first_bad_scan} " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("q", ["1e16", "1e20", "1e300"])
+def test_large_process_noise_gives_a_finite_bound(tmp_path, q):
+    code = main(["crlb", "--set", f"scenario.process_noise={q}", "--set", f"output.directory={tmp_path}"])
+    assert code == 0
+    rows = [line.split(",") for line in read_lines(tmp_path / "crlb.csv")[2:]]
+    assert len(rows) == 40 and all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
 BAD_KEYS_OF_RUN_AND_TABLE1 = [
@@ -198,29 +297,12 @@ def test_run_checks_the_bound_before_the_batch_starts(tmp_path, capsys, monkeypa
     started = []
     monkeypatch.setattr("posspf.cli.run_batch", lambda *args: started.append(args))
     out = tmp_path / "out"
-    code = main(["run", "--set", "scenario.process_noise=1e300", "--set", f"output.directory={out}"] + FAST_RUN)
+    code = main(["run", "--set", "filter.sigma_deg=1e300", "--set", f"output.directory={out}"] + FAST_RUN)
     assert code == 1
-    assert "not finite at scan 3 " in capsys.readouterr().err
+    assert "not finite at scan 1 " in capsys.readouterr().err
     assert started == []
     assert not out.exists()
 
-
-CRLB_NUMERIC_KEYS = [
-    "scenario.sample_time_s",
-    "scenario.target_range_km",
-    "scenario.target_bearing_deg",
-    "scenario.target_speed_kn",
-    "scenario.target_heading_deg",
-    "scenario.observer_speed_kn",
-    "scenario.observer_headings_deg",
-    "scenario.noise_sigma_deg",
-    "scenario.noise_dof",
-    "scenario.process_noise",
-    "filter.sigma_deg",
-    "filter.range_prior_km",
-    "filter.range_prior_sigma_km",
-    "filter.velocity_prior_sigma_kn",
-]
 
 FUZZ_VALUES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e300, -1e300, 1e-300, -1e-300]),
@@ -228,23 +310,119 @@ FUZZ_VALUES = st.one_of(
     st.floats(min_value=-1e3, max_value=1e3),
 )
 
+# Counts are fuzzed over small values only: a large particle count, run
+# count or parallelism would allocate memory or start processes.
+SMALL_COUNTS = {
+    "scans": ["-1", "0", "1", "2", "3", "12", "2.5", "nan", "x"],
+    "observer_leg_scans": ["-1", "0", "1", "3", "12", "50", "1.5"],
+    "particles": ["-1", "0", "1", "2", "50", "1e3", "x"],
+    "runs": ["-1", "0", "1", "2", "1.0"],
+    "parallelism": ["-1", "0", "1", "x"],
+    "base_seed": ["-1", "0", "7", str(2**70), "1e3"],
+    "n_grid": ["50", "1", "0", "2.5", "nan", "inf", "-3", "50, 20", ""],
+}
+WORDS = ["", "bogus", "gaussian", "student-t", "standard", "swapped", "max-entropy", "ignorance", "true", "off", "1"]
+
+
+def key_values(section, key):
+    row = KEYS[section][key]
+    if key in SMALL_COUNTS:
+        return st.sampled_from(SMALL_COUNTS[key])
+    if row.parser == "a number":
+        return FUZZ_VALUES.map(repr)
+    if row.parser == "comma-separated numbers":
+        return st.lists(FUZZ_VALUES, max_size=3).map(lambda xs: ", ".join(map(repr, xs)))
+    return st.sampled_from([row.default, *WORDS])
+
+
+FUZZED_KEYS = {
+    f"{section}.{key}": key_values(section, key)
+    for section, rows in KEYS.items()
+    for key in rows
+    if section != "output"  # the test owns the output directory
+}
+FUZZ_OVERRIDES = st.dictionaries(st.sampled_from(sorted(FUZZED_KEYS)), st.none(), min_size=1, max_size=3).flatmap(
+    lambda keys: st.fixed_dictionaries({key: FUZZED_KEYS[key] for key in keys})
+)
+TINY = ["experiment.runs=2", "filter.particles=50", "scenario.scans=12", "scenario.observer_leg_scans=3",
+        "experiment.parallelism=1", "experiment.n_grid=50", "experiment.nu_grid=3"]
+# The documented runtime failures (README, exit codes).  The last one is a
+# prior or process-noise spread that is singular in floating point: it
+# depends on several keys and, for the prior, on the first measured bearing.
+RUNTIME_FAILURES = ("position bound is not finite at scan", "runs diverged", "spread matrix is not positive definite")
+FOUND_CASES = [
+    ("scenario.sample_time_s", "inf"),
+    ("scenario.target_speed_kn", "-1"),
+    ("scenario.scans", "1"),
+    ("scenario.observer_leg_scans", "0"),
+]
+
+
+def assert_finite_cells(out):
+    for path in out.glob("*.csv"):
+        lines = read_lines(path)
+        header = lines[1].split(",")
+        for line in lines[2:]:
+            for name, cell in zip(header, line.split(",")):
+                if name != "filter":  # nu = inf is the Gaussian limit, a value, not a failure
+                    assert math.isfinite(float(cell)) or (name == "nu" and cell == "inf"), (path.name, line)
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=150, deadline=None)
-@given(st.dictionaries(st.sampled_from(CRLB_NUMERIC_KEYS), FUZZ_VALUES, min_size=1, max_size=3))
-def test_crlb_never_exits_0_with_a_non_finite_cell(overrides):
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["run", "table1", "crlb"]), overrides=FUZZ_OVERRIDES)
+@example(command="crlb", overrides={"scenario.process_noise": "1e300"})
+@example(command="table1", overrides={"scenario.noise": "student-t", "scenario.noise_dof": "1e-300"})
+@example(command="run", overrides={"scenario.sample_time_s": "inf"})
+@example(command="table1", overrides={"scenario.target_speed_kn": "-1"})
+@example(command="crlb", overrides={"scenario.scans": "1"})
+@example(command="run", overrides={"scenario.observer_leg_scans": "0"})
+@example(command="run", overrides={"filter.range_prior_sigma_km": "1e+300"})
+@example(command="run", overrides={"scenario.sample_time_s": "1e+300"})
+@example(command="run", overrides={"scenario.observer_speed_kn": "1e+300"})
+@example(command="table1", overrides={"filter.sigma_deg": "5e-324"})
+@example(command="crlb", overrides={"scenario.target_range_km": "1e+306"})
+def test_no_command_exits_0_with_a_non_finite_cell(command, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        args = ["crlb", "--set", f"output.directory={out}"]
-        for key, value in overrides.items():
-            args += ["--set", f"{key}={value!r}"]
-        code = main(args)
-        assert code in (0, 1, 2)
+        args = [command, "--set", f"output.directory={out}"]
+        for item in TINY + [f"{key}={value}" for key, value in overrides.items()]:
+            args += ["--set", item]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(args)
+        err = stderr.getvalue()
         if code == 0:
-            rows = [line.split(",") for line in read_lines(out / "crlb.csv")[2:]]
-            assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
+            assert_finite_cells(out)
+        elif code == 1:
+            assert any(message in err for message in RUNTIME_FAILURES), err
+            assert not any((out / name).exists() for name in ("rms.csv", "table1.csv", "crlb.csv")), err
         else:
-            assert not (out / "crlb.csv").exists()
+            assert code == 2
+            assert re.search(r"\[(scenario|filter|experiment|output)\] [a-z_]+", err), err
+            assert any(key.split(".")[1] in err for key in overrides), err
+            assert not out.exists(), err
+
+
+@pytest.mark.parametrize("command", ["run", "table1", "crlb"])
+@pytest.mark.parametrize(
+    "key, value",
+    FOUND_CASES
+    + [  # values that leave their domain only in SI units
+        ("filter.sigma_deg", "5e-324"),
+        ("scenario.noise_sigma_deg", "5e-324"),
+        ("scenario.target_range_km", "1e306"),
+        ("filter.range_prior_km", "1e306"),
+        ("filter.range_prior_sigma_km", "1e306"),
+    ],
+)
+def test_values_the_library_rejects_exit_2_naming_the_key(tmp_path, capsys, command, key, value):
+    out = tmp_path / "out"
+    code = main([command, "--set", f"output.directory={out}"] + FAST_RUN + ["--set", f"{key}={value}"])
+    assert code == 2
+    section, name = key.split(".")
+    assert f"[{section}] {name}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fractional_particle_count_exits_2_naming_n_grid(tmp_path, capsys):

@@ -392,7 +392,6 @@ def test_crlb_canonical_curve_finite_and_improving():
     rel = nominal_target_track(scenario) - scenario.observer.states
     prior = init_prior(0.0, scenario.observer.velocity(0), scenario.filter_sigma)
     result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
-    assert result.singular_scans == []
     assert np.all(np.isfinite(result.position_bound))
     # Range becomes observable at the first manoeuvre (scan 11): the bound
     # shrinks monotonically while information dominates the q-diffusion floor,
@@ -401,6 +400,59 @@ def test_crlb_canonical_curve_finite_and_improving():
     information_phase = result.position_bound[first_turn : first_turn + 10]
     assert np.all(np.diff(information_phase) < 0)
     assert result.position_bound[-1] < 0.1 * result.position_bound[:first_turn].min()
+
+
+def crlb_information_form(true_relative, T, q, sigma, prior):
+    """Reference: the information recursion J_k = [F J^-1 F' + Q]^-1 + H'H / sigma^2."""
+    F = transition_matrix(T)
+    Q = process_noise_matrix(T, q) if q > 0 else np.zeros((4, 4))
+    J = np.linalg.inv(prior.spread)
+    bounds = [prior.spread]
+    for k in range(1, true_relative.shape[0]):
+        J = np.linalg.inv(F @ np.linalg.inv(J) @ F.T + Q)
+        H = bearing_jacobian(true_relative[k])
+        J = J + np.outer(H, H) / sigma**2
+        bounds.append(np.linalg.inv(J))
+    return np.array(bounds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([0.0, 1e-6, 1e-3, 1e-1, 1.0]),
+    bearing=st.floats(min_value=-180.0, max_value=180.0),
+    heading=st.floats(min_value=0.0, max_value=360.0),
+    speed=st.floats(min_value=0.0, max_value=10.0),
+    range_m=st.floats(min_value=3e3, max_value=30e3),
+    sigma_deg=st.floats(min_value=0.2, max_value=3.0),
+    form=st.sampled_from(["consistent", "swapped"]),
+)
+def test_crlb_covariance_form_equals_information_form(q, bearing, heading, speed, range_m, sigma_deg, form):
+    scenario = build_canonical_scenario(
+        q=q, initial_bearing_deg=bearing, target_heading_deg=heading, target_speed=speed,
+        initial_range_m=range_m, filter_sigma_deg=sigma_deg,
+    )
+    rel = nominal_target_track(scenario) - scenario.observer.states
+    prior = init_prior(bearings_of(rel[:1])[0], scenario.observer.velocity(0), scenario.filter_sigma,
+                       PriorConfig(covariance_form=form))
+    result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
+    reference = crlb_information_form(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
+    np.testing.assert_allclose(result.position_bound, np.sqrt(reference[:, 0, 0] + reference[:, 2, 2]), rtol=1e-9)
+    for bound, ref in zip(result.bounds, reference):
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        np.testing.assert_allclose(bound / scale, ref / scale, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponent=st.floats(min_value=-3.0, max_value=300.0))
+@example(exponent=16.0)
+@example(exponent=20.0)
+@example(exponent=300.0)
+def test_crlb_stays_finite_for_any_process_noise_up_to_1e300(exponent):
+    scenario = build_canonical_scenario(q=10.0**exponent)
+    rel = nominal_target_track(scenario) - scenario.observer.states
+    prior = init_prior(0.0, scenario.observer.velocity(0), scenario.filter_sigma)
+    result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
+    assert np.all(np.isfinite(result.bounds)) and np.all(np.isfinite(result.position_bound))
 
 
 def test_crlb_bounds_are_positive_definite_every_scan():
