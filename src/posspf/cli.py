@@ -13,7 +13,8 @@ config key is checked against its domain when the config loads, so any
 bad value exits 2 naming ``[section] key`` before a command starts, even
 a key the command does not read; run and table1 also reject
 process_noise = 0, which only crlb accepts.  A bound curve that is not
-finite at some scan exits 1 and writes no CSV.  Outputs are byte-identical
+finite at some scan exits 1 and writes no CSV, on every command: run and
+table1 check it before their runs start.  Outputs are byte-identical
 across repeated invocations with the same config.
 """
 
@@ -117,6 +118,9 @@ def cmd_run(cfg: Config) -> int:
 
 def cmd_table1(cfg: Config) -> int:
     scenario = cfg.scenario(filtering=True)
+    # The table holds no bound, but a bound that is not finite fails the
+    # command as it does in run: find out before the grid starts.
+    _finite_crlb(scenario, cfg.prior())
     cells = table1_experiment(
         scenario,
         cfg.n_grid(),

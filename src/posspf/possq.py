@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 class TooConcentrated(ValueError):
@@ -143,8 +142,11 @@ class WaterPouredDensity:
             radii[on_plateau] = self.plateau_radius * rng.random(k) ** (1.0 / d)
         m = n - k
         if m:
-            sf_r = stats.chi2.sf(self.plateau_radius**2, d)
-            t = stats.chi2.isf(rng.random(m) * sf_r, d)
+            # Local import: scipy is needed only by the max-entropy proposal.
+            from scipy.special import chdtrc, chdtri
+
+            sf_r = chdtrc(d, self.plateau_radius**2)
+            t = chdtri(d, rng.random(m) * sf_r)
             radii[~on_plateau] = np.sqrt(t)
 
         return (radii[:, None] * directions) @ self.source.chol.T
@@ -166,10 +168,13 @@ def _clip_mass(lam: float, pi: GaussianPossibility, unit_ball_vol: float) -> flo
     """Integral of min(pi, lam): plateau slab plus Gaussian-shaped tail."""
     if lam >= 1.0:
         return pi.total_mass
+    # Local import: scipy is needed only by the max-entropy proposal.
+    from scipy.special import chdtrc
+
     r_sq = -2.0 * math.log(lam)
     d = pi.dim
     plateau = lam * unit_ball_vol * r_sq ** (d / 2.0) * pi.sqrt_det
-    tail = pi.total_mass * stats.chi2.sf(r_sq, d)
+    tail = pi.total_mass * chdtrc(d, r_sq)
     return plateau + tail
 
 

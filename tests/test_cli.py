@@ -304,6 +304,17 @@ def test_run_checks_the_bound_before_the_batch_starts(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def test_table1_checks_the_bound_before_the_grid_starts(tmp_path, capsys, monkeypatch):
+    started = []
+    monkeypatch.setattr("posspf.cli.table1_experiment", lambda *args: started.append(args))
+    out = tmp_path / "out"
+    code = main(["table1", "--set", "filter.range_prior_km=5e155", "--set", f"output.directory={out}"] + FAST_RUN)
+    assert code == 1
+    assert "not finite at scan 1 " in capsys.readouterr().err
+    assert started == []
+    assert not out.exists()
+
+
 FUZZ_VALUES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e300, -1e300, 1e-300, -1e-300]),
     st.floats(allow_nan=True, allow_infinity=True),

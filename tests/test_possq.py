@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from posspf.possq import (
     DiscreteWaterPour,
@@ -163,6 +163,44 @@ def test_dominance_everywhere(sigma, x):
 def test_normalisation_property_1d(sigma):
     poured = water_pour_continuous(GaussianPossibility([0.0], [[sigma**2]]))
     assert clipped_mass_quad_1d(sigma, poured.level) == pytest.approx(1.0, abs=1e-6)
+
+
+def same_bits(a, b) -> bool:
+    """``a == b`` with the sign of zero, or both NaN."""
+    a, b = float(a), float(b)
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(min_value=0.0, allow_infinity=True))
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=1e300)
+@example(x=math.inf)
+def test_chdtrc_is_the_chi2_survival_function_bit_for_bit(d, x):
+    """possq calls scipy.special.chdtrc, the function scipy.stats.chi2.sf calls.
+
+    The one known difference is x < 0: chdtrc gives nan and stats gives 1.
+    possq never reaches it: ``_clip_mass`` returns early for levels >= 1,
+    so its squared radius is positive, and the plateau radius is >= 0.
+    """
+    assert same_bits(special.chdtrc(d, x), stats.chi2.sf(x, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@settings(max_examples=200, deadline=None)
+@given(q=st.floats(min_value=0.0, max_value=1.0))
+@example(q=0.0)
+@example(q=5e-324)
+@example(q=1.0 - 2.0**-53)
+@example(q=1.0)
+def test_chdtri_is_the_chi2_inverse_survival_function_bit_for_bit(d, q):
+    """possq calls scipy.special.chdtri, the function scipy.stats.chi2.isf calls."""
+    assert same_bits(special.chdtri(d, q), stats.chi2.isf(q, d))
 
 
 # ---------------------------------------------------------------------------
