@@ -30,7 +30,6 @@ from .filters import (
 from .tma import (
     AtOrigin,
     CrlbResult,
-    ObserverTrajectory,
     PriorConfig,
     bearing_log_likelihood,
     bearings_of,

@@ -31,7 +31,6 @@ from .filters import (
 )
 from .possq import GaussianPossibility
 from .tma import (
-    ObserverTrajectory,
     PriorConfig,
     bearing_log_likelihood,
     bearings_of,
@@ -49,16 +48,17 @@ FILTER_POSSIBILITY = "possibility"
 FILTER_STANDARD = "standard"
 
 
-def is_divergent(errors_m, threshold_m: float = DIVERGENCE_THRESHOLD_M) -> bool:
+def is_divergent(errors_m) -> bool:
     """A run diverges unless every position error is finite and the final one is at most the threshold."""
     errors_m = np.atleast_1d(errors_m)
-    return not (np.isfinite(errors_m).all() and errors_m[-1] <= threshold_m)
+    return not (np.isfinite(errors_m).all() and errors_m[-1] <= DIVERGENCE_THRESHOLD_M)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion, as fractions."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 1.959963984540054  # the 97.5% standard normal quantile
     p = successes / trials
     denom = 1.0 + z * z / trials
     centre = (p + z * z / (2 * trials)) / denom
@@ -70,27 +70,24 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Measurement noise generator: zero-mean Gaussian or Student-t.
+    """Measurement noise generator: zero-mean Student-t, Gaussian at ``nu = inf``.
 
     Student-t draws are Gaussian over the square root of a scaled
-    chi-square; ``nu = inf`` takes the exact Gaussian code path.
+    chi-square; ``nu = inf`` draws the Gaussian alone.
     """
 
-    kind: str
     sigma: float
     nu: float = math.inf
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "student-t"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0 < self.sigma < math.inf:
             raise ValueError("noise sigma must be positive and finite")
-        if self.kind == "student-t" and not self.nu > 0:
-            raise ValueError("student-t degrees of freedom must be positive")
+        if not self.nu > 0:
+            raise ValueError("noise degrees of freedom must be positive (inf is Gaussian)")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         draws = self.sigma * rng.standard_normal(size)
-        if self.kind == "student-t" and math.isfinite(self.nu):
+        if math.isfinite(self.nu):
             draws = draws / np.sqrt(rng.chisquare(self.nu, size) / self.nu)
         return draws
 
@@ -99,56 +96,50 @@ class NoiseModel:
 class Scenario:
     """One simulated engagement: observer, target, CV dynamics, noise models.
 
-    ``T`` is the sampling interval in seconds and ``q`` the process-noise
-    intensity in m^2/s^3.
+    ``observer`` holds the known observer state per scan, shape (scans, 4),
+    with piecewise constant velocity: positions must integrate each scan's
+    own velocity over ``T`` (impulsive velocity changes at scan boundaries
+    are allowed).  ``T`` is the sampling interval in seconds and ``q`` the
+    process-noise intensity in m^2/s^3.
     """
 
-    scan_count: int
     T: float
-    observer: ObserverTrajectory
+    observer: np.ndarray
     target_init: np.ndarray
     q: float
     true_noise: NoiseModel
     filter_sigma: float
     deterministic_target: bool = False
 
+    @property
+    def scan_count(self) -> int:
+        return len(self.observer)
+
     def __post_init__(self):
-        if self.scan_count < 2:
-            raise ValueError("scenario needs at least 2 scans")
-        if len(self.observer) != self.scan_count:
-            raise ValueError("observer trajectory length must equal the scan count")
         if not 0 < self.T < math.inf:
             raise ValueError("sampling interval must be positive and finite")
+        obs = np.asarray(self.observer, dtype=float)
+        object.__setattr__(self, "observer", obs)
+        if obs.ndim != 2 or obs.shape[1] != 4:
+            raise ValueError("observer states must have shape (scans, 4)")
+        if obs.shape[0] < 2:
+            raise ValueError("observer trajectory needs at least 2 scans")
+        if not np.all(np.isfinite(obs)):
+            raise ValueError("observer states must be finite")
+        gaps_x = obs[1:, 0] - obs[:-1, 0] - self.T * obs[:-1, 1]
+        gaps_y = obs[1:, 2] - obs[:-1, 2] - self.T * obs[:-1, 3]
+        scale = max(1.0, np.abs(obs[:, [0, 2]]).max())
+        if np.abs(gaps_x).max() > 1e-9 * scale or np.abs(gaps_y).max() > 1e-9 * scale:
+            raise ValueError("observer positions inconsistent with piecewise-CV motion")
         if not 0 <= self.q < math.inf:
             raise ValueError("process noise intensity must be nonnegative and finite")
         if not 0 < self.filter_sigma < math.inf:
             raise ValueError("filter sigma must be positive and finite")
         if not np.all(np.isfinite(self.target_init)):
             raise ValueError("target initial state must be finite")
-        velocities = self.observer.states[:, [1, 3]]
+        velocities = obs[:, [1, 3]]
         if np.allclose(velocities, velocities[0]):
             raise ValueError("observer must manoeuvre at least once (range observability)")
-
-
-# Canonical defaults: target 10 km due north doing 4 m/s on heading 140,
-# observer zigzagging at 7.5 m/s between headings 70 and 340 every 10 scans.
-CANONICAL_DEFAULTS = dict(
-    scan_count=40,
-    T=40.0,
-    initial_range_m=10e3,
-    initial_bearing_deg=0.0,
-    target_speed=4.0,
-    target_heading_deg=140.0,
-    observer_speed=7.5,
-    observer_headings_deg=(70.0, 340.0, 70.0, 340.0),
-    observer_leg_scans=10,
-    q=1e-3,
-    noise_kind="gaussian",
-    noise_sigma_deg=1.0,
-    noise_nu=math.inf,
-    filter_sigma_deg=1.0,
-    deterministic_target=False,
-)
 
 
 def _heading_velocity(speed: float, heading_deg: float) -> np.ndarray:
@@ -156,57 +147,58 @@ def _heading_velocity(speed: float, heading_deg: float) -> np.ndarray:
     return speed * np.array([np.sin(h), np.cos(h)])
 
 
-def build_canonical_scenario(**overrides) -> Scenario:
-    """Canonical bearings-only engagement; every default can be overridden."""
-    params = dict(CANONICAL_DEFAULTS)
-    unknown = set(overrides) - set(params)
-    if unknown:
-        raise ValueError(f"unknown scenario overrides: {sorted(unknown)}")
-    params.update(overrides)
+def build_canonical_scenario(
+    *,
+    scan_count: int = 40,
+    T: float = 40.0,
+    initial_range_m: float = 10e3,
+    initial_bearing_deg: float = 0.0,
+    target_speed: float = 4.0,
+    target_heading_deg: float = 140.0,
+    observer_speed: float = 7.5,
+    observer_headings_deg: tuple[float, ...] = (70.0, 340.0, 70.0, 340.0),
+    observer_leg_scans: int = 10,
+    q: float = 1e-3,
+    noise_sigma_deg: float = 1.0,
+    noise_nu: float = math.inf,
+    filter_sigma_deg: float = 1.0,
+    deterministic_target: bool = False,
+) -> Scenario:
+    """Canonical bearings-only engagement; every default can be overridden.
 
-    scan_count = int(params["scan_count"])
-    T = float(params["T"])
-    if not 0 < T < math.inf:
-        raise ValueError("T must be positive and finite")
-    if not 0 < params["initial_range_m"] < math.inf:
+    By default the target starts 10 km due north doing 4 m/s on heading
+    140, and the observer zigzags at 7.5 m/s between headings 70 and 340
+    every 10 scans.  ``noise_nu = inf`` is Gaussian bearing noise.
+    """
+    if not 0 < initial_range_m < math.inf:
         raise ValueError("initial range must be positive and finite")
-    if params["observer_leg_scans"] < 1:
+    if observer_leg_scans < 1:
         raise ValueError("observer_leg_scans must be at least 1")
-    if params["observer_speed"] < 0 or params["target_speed"] < 0:
+    if observer_speed < 0 or target_speed < 0:
         raise ValueError("speeds must be nonnegative")
-
-    headings = tuple(float(h) for h in params["observer_headings_deg"])
-    if len(headings) < 2:
+    if len(observer_headings_deg) < 2:
         raise ValueError("observer needs at least two legs to manoeuvre")
-    leg_scans = int(params["observer_leg_scans"])
 
-    obs = np.zeros((scan_count, 4))
+    obs = np.zeros((int(scan_count), 4))
     pos = np.zeros(2)
-    for k in range(scan_count):
-        leg = min(k // leg_scans, len(headings) - 1)
-        v = _heading_velocity(params["observer_speed"], headings[leg])
+    for k in range(len(obs)):
+        leg = min(k // observer_leg_scans, len(observer_headings_deg) - 1)
+        v = _heading_velocity(observer_speed, observer_headings_deg[leg])
         obs[k] = [pos[0], v[0], pos[1], v[1]]
         pos = pos + T * v
-    observer = ObserverTrajectory(obs, T)
 
-    beta = np.deg2rad(params["initial_bearing_deg"])
-    tgt_pos = params["initial_range_m"] * np.array([np.sin(beta), np.cos(beta)])
-    tgt_vel = _heading_velocity(params["target_speed"], params["target_heading_deg"])
-    target_init = np.array([tgt_pos[0], tgt_vel[0], tgt_pos[1], tgt_vel[1]])
-
-    sigma_true = np.deg2rad(params["noise_sigma_deg"])
-    nu = float(params["noise_nu"])
-    noise = NoiseModel(kind=params["noise_kind"], sigma=sigma_true, nu=nu)
+    beta = np.deg2rad(initial_bearing_deg)
+    tgt_pos = initial_range_m * np.array([np.sin(beta), np.cos(beta)])
+    tgt_vel = _heading_velocity(target_speed, target_heading_deg)
 
     return Scenario(
-        scan_count=scan_count,
-        T=T,
-        observer=observer,
-        target_init=target_init,
-        q=float(params["q"]),
-        true_noise=noise,
-        filter_sigma=np.deg2rad(params["filter_sigma_deg"]),
-        deterministic_target=bool(params["deterministic_target"]),
+        T=float(T),
+        observer=obs,
+        target_init=np.array([tgt_pos[0], tgt_vel[0], tgt_pos[1], tgt_vel[1]]),
+        q=float(q),
+        true_noise=NoiseModel(np.deg2rad(noise_sigma_deg), float(noise_nu)),
+        filter_sigma=np.deg2rad(filter_sigma_deg),
+        deterministic_target=bool(deterministic_target),
     )
 
 
@@ -233,15 +225,9 @@ def sample_target_track(scenario: Scenario, rng: np.random.Generator) -> np.ndar
     return track
 
 
-def synthesize_measurements(
-    scenario: Scenario,
-    rng: np.random.Generator,
-    target_track: np.ndarray | None = None,
-) -> np.ndarray:
-    """Noisy bearings of the (given or nominal) target track, wrapped to (-pi, pi]."""
-    if target_track is None:
-        target_track = nominal_target_track(scenario)
-    rel = target_track - scenario.observer.states
+def synthesize_measurements(scenario: Scenario, rng: np.random.Generator, target_track: np.ndarray) -> np.ndarray:
+    """Noisy bearings of a target track, wrapped to (-pi, pi]."""
+    rel = target_track - scenario.observer
     true_bearings = bearings_of(rel)
     noise = scenario.true_noise.sample(rng, scenario.scan_count)
     return wrap_angle(true_bearings + noise)
@@ -280,11 +266,11 @@ def run_single(
     rng_filter = np.random.default_rng((seed, 1))
 
     target = sample_target_track(scenario, rng_world)
-    rel = target - scenario.observer.states
+    rel = target - scenario.observer
     z = synthesize_measurements(scenario, rng_world, target)
 
     sigma = scenario.filter_sigma
-    prior_poss = init_prior(z[0], scenario.observer.velocity(0), sigma, prior)
+    prior_poss = init_prior(z[0], scenario.observer[0, [1, 3]], sigma, prior)
     transition = LinearGaussianTransition(
         transition_matrix(scenario.T), process_noise_matrix(scenario.T, scenario.q)
     )
@@ -307,7 +293,7 @@ def run_single(
             step = standard_pf_step
 
         for k in range(1, scenario.scan_count):
-            U = observer_input(scenario.observer.states[k], scenario.observer.states[k - 1], scenario.T)
+            U = observer_input(scenario.observer[k], scenario.observer[k - 1], scenario.T)
             transition.offset = -U
             ps, record = step(ps, transition, log_lik, z[k], rng_filter, k)
             track[k] = record.estimate[[0, 2]]
@@ -428,10 +414,7 @@ def table1_experiment(
         for n in n_grid:
             for nu in nu_grid:
                 nu = float(nu)
-                noisy = dataclasses.replace(
-                    scenario,
-                    true_noise=NoiseModel(kind="student-t", sigma=scenario.true_noise.sigma, nu=nu),
-                )
+                noisy = dataclasses.replace(scenario, true_noise=NoiseModel(scenario.true_noise.sigma, nu))
                 batch = run_batch(noisy, filter_kind, int(n), runs, base_seed, parallelism, prior, options)
                 cells.append(
                     Table1Cell(
@@ -450,7 +433,7 @@ def table1_experiment(
 def scenario_crlb(scenario: Scenario, prior: PriorConfig = PriorConfig()):
     """Position-bound curve along the nominal trajectory, from the prior spread."""
     nominal = nominal_target_track(scenario)
-    rel = nominal - scenario.observer.states
+    rel = nominal - scenario.observer
     z1 = bearings_of(rel[:1])[0]
-    prior_poss = init_prior(z1, scenario.observer.velocity(0), scenario.filter_sigma, prior)
+    prior_poss = init_prior(z1, scenario.observer[0, [1, 3]], scenario.filter_sigma, prior)
     return crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior_poss)

@@ -21,6 +21,7 @@ across repeated invocations with the same config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -32,13 +33,7 @@ from .tma import CrlbResult
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf"
-        return f"{value:.10g}"
-    return str(value)
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
 def _write_csv(path: str, meta: str, header: list[str], rows) -> None:
@@ -67,7 +62,9 @@ def _finite_crlb(scenario, prior) -> CrlbResult:
 
 def cmd_run(cfg: Config) -> int:
     scenario = cfg.scenario(filtering=True)
-    batch_args = (
+    # A bound that is not finite fails the command: find out before the batch runs.
+    bound = _finite_crlb(scenario, cfg.prior()).position_bound
+    batch = run_batch(
         scenario,
         cfg.filter_kind(),
         cfg.particles(),
@@ -77,10 +74,6 @@ def cmd_run(cfg: Config) -> int:
         cfg.prior(),
         cfg.filter_options(),
     )
-    # A bound that is not finite fails the command: find out before the batch
-    # runs, but after every key has been checked.
-    bound = _finite_crlb(scenario, cfg.prior()).position_bound
-    batch = run_batch(*batch_args)
     outdir = cfg.output_directory()
     os.makedirs(outdir, exist_ok=True)
     meta = _meta(cfg)
@@ -137,18 +130,7 @@ def cmd_table1(cfg: Config) -> int:
         os.path.join(outdir, "table1.csv"),
         _meta(cfg),
         ["filter", "n", "nu", "runs", "divergent_pct", "wilson_lo", "wilson_hi"],
-        (
-            (
-                c.filter_kind,
-                c.n,
-                c.nu,
-                c.runs,
-                c.divergent_pct,
-                c.wilson_lo_pct,
-                c.wilson_hi_pct,
-            )
-            for c in cells
-        ),
+        map(dataclasses.astuple, cells),  # the field order is the column order
     )
     for c in cells:
         print(

@@ -169,9 +169,8 @@ class Config:
                 observer_headings_deg=tuple(s["observer_headings_deg"]),
                 observer_leg_scans=s["observer_leg_scans"],
                 q=s["process_noise"],
-                noise_kind=s["noise"],
                 noise_sigma_deg=s["noise_sigma_deg"],
-                noise_nu=s["noise_dof"],
+                noise_nu=s["noise_dof"] if s["noise"] == "student-t" else math.inf,
                 filter_sigma_deg=self.parsed["filter"]["sigma_deg"],
                 deterministic_target=s["deterministic_target"],
             )

@@ -178,7 +178,7 @@ def _clip_mass(lam: float, pi: GaussianPossibility, unit_ball_vol: float) -> flo
     return plateau + tail
 
 
-def water_pour_continuous(pi: GaussianPossibility, tol: float = 1e-12) -> WaterPouredDensity:
+def water_pour_continuous(pi: GaussianPossibility) -> WaterPouredDensity:
     """Clip a Gaussian possibility at the level whose clipped mass is one.
 
     The clip level is found by bisection on the closed-form mass
@@ -214,7 +214,7 @@ def water_pour_continuous(pi: GaussianPossibility, tol: float = 1e-12) -> WaterP
         m_mid = _clip_mass(mid, pi, unit_ball_vol)
         # Strict monotonicity of M(lambda) keeps the bracket valid.
         assert m_lo <= m_mid <= m_hi + 1e-9
-        if abs(m_mid - 1.0) <= tol:
+        if abs(m_mid - 1.0) <= 1e-12:
             lam = mid
             break
         if m_mid < 1.0:

@@ -89,35 +89,6 @@ def bearing_log_likelihood(states: np.ndarray, z: float, sigma: float) -> np.nda
     return -0.5 * (res / sigma) ** 2
 
 
-class ObserverTrajectory:
-    """Known observer states per scan, piecewise constant velocity.
-
-    Positions must integrate each scan's own velocity over the sampling
-    interval (impulsive velocity changes at scan boundaries are allowed).
-    """
-
-    def __init__(self, states: np.ndarray, T: float):
-        states = np.asarray(states, dtype=float)
-        if states.ndim != 2 or states.shape[1] != 4:
-            raise ValueError("observer states must have shape (scans, 4)")
-        if states.shape[0] < 2:
-            raise ValueError("observer trajectory needs at least 2 scans")
-        if not np.all(np.isfinite(states)):
-            raise ValueError("observer states must be finite")
-        gaps_x = states[1:, 0] - states[:-1, 0] - T * states[:-1, 1]
-        gaps_y = states[1:, 2] - states[:-1, 2] - T * states[:-1, 3]
-        scale = max(1.0, np.abs(states[:, [0, 2]]).max())
-        if np.abs(gaps_x).max() > 1e-9 * scale or np.abs(gaps_y).max() > 1e-9 * scale:
-            raise ValueError("observer positions inconsistent with piecewise-CV motion")
-        self.states = states
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    def velocity(self, scan: int) -> tuple[float, float]:
-        return float(self.states[scan, 1]), float(self.states[scan, 3])
-
-
 @dataclass(frozen=True)
 class PriorConfig:
     """Parameters of the measurement-based initial prior, in SI units.

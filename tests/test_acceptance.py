@@ -280,7 +280,7 @@ def test_criterion_6_mismatch_robustness_ordering(canonical):
 
     mismatched = dataclasses.replace(
         canonical,
-        true_noise=NoiseModel(kind="student-t", sigma=canonical.true_noise.sigma, nu=3.0),
+        true_noise=NoiseModel(canonical.true_noise.sigma, nu=3.0),
     )
     runs = 200
     poss = run_batch(mismatched, FILTER_POSSIBILITY, 2000, runs, BASE_SEED, parallelism=4)
@@ -332,7 +332,7 @@ def test_criterion_7_mild_mismatch_robustness(canonical):
 
 
 def test_criterion_8_invariant_suite(canonical, tmp_path):
-    from posspf.bench import synthesize_measurements
+    from posspf.bench import nominal_target_track, synthesize_measurements
     from posspf.filters import PossibilityPFOptions
     from posspf.tma import observer_input, process_noise_matrix, transition_matrix
 
@@ -341,9 +341,9 @@ def test_criterion_8_invariant_suite(canonical, tmp_path):
     # (a, b, c) weight conventions and MAP membership on the canonical problem
     scenario = build_canonical_scenario(scan_count=10, observer_leg_scans=3)
     rng_world = np.random.default_rng((3, 0))
-    z = synthesize_measurements(scenario, rng_world)
+    z = synthesize_measurements(scenario, rng_world, nominal_target_track(scenario))
     sigma = scenario.filter_sigma
-    prior = init_prior(z[0], scenario.observer.velocity(0), sigma=sigma)
+    prior = init_prior(z[0], scenario.observer[0, [1, 3]], sigma=sigma)
     F = transition_matrix(scenario.T)
     Q = process_noise_matrix(scenario.T, scenario.q)
     transition = LinearGaussianTransition(F, Q)
@@ -355,7 +355,7 @@ def test_criterion_8_invariant_suite(canonical, tmp_path):
     if ps.weights.max() != 1.0:
         failures.append("possibility init max weight != 1")
     for k in range(1, scenario.scan_count):
-        U = observer_input(scenario.observer.states[k], scenario.observer.states[k - 1], scenario.T)
+        U = observer_input(scenario.observer[k], scenario.observer[k - 1], scenario.T)
         transition.offset = -U
         replay = np.random.default_rng((3, 10, k))
         predicted = transition.propose(ps.states, replay, options)

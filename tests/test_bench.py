@@ -36,13 +36,13 @@ def test_canonical_defaults():
     assert s.scan_count == 40
     assert s.T == 40.0
     assert len(s.observer) == 40
-    assert s.true_noise.kind == "gaussian"
+    assert s.true_noise.nu == math.inf
     assert s.true_noise.sigma == pytest.approx(1.0 * DEG)
 
 
 def test_canonical_initial_bearing_is_zero():
     s = build_canonical_scenario()
-    rel = nominal_target_track(s) - s.observer.states
+    rel = nominal_target_track(s) - s.observer
     assert bearings_of(rel[:1])[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -57,8 +57,36 @@ def test_scenario_without_manoeuvre_rejected():
 
 
 def test_unknown_override_rejected():
-    with pytest.raises(ValueError, match="unknown"):
+    with pytest.raises(TypeError, match="warp_factor"):
         build_canonical_scenario(warp_factor=9)
+
+
+def test_scan_count_is_the_observer_length():
+    s = build_canonical_scenario(scan_count=7, observer_leg_scans=3)
+    assert s.scan_count == len(s.observer) == 7
+    shorter = dataclasses.replace(s, observer=s.observer[:5])
+    assert shorter.scan_count == len(shorter.observer) == 5
+
+
+@pytest.mark.parametrize("shape, message", [((1, 4), "at least 2 scans"), ((3, 3), "shape")])
+def test_scenario_rejects_observer_shapes(shape, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(build_canonical_scenario(), observer=np.zeros(shape))
+
+
+def test_scenario_rejects_non_finite_observer():
+    s = build_canonical_scenario()
+    observer = s.observer.copy()
+    observer[3, 1] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(s, observer=observer)
+
+
+def test_scenario_rejects_inconsistent_observer_positions():
+    states = np.zeros((3, 4))
+    states[:, 1] = 2.0  # vx = 2 but positions never move
+    with pytest.raises(ValueError, match="inconsistent"):
+        dataclasses.replace(build_canonical_scenario(), observer=states)
 
 
 def test_invalid_override_values_rejected():
@@ -77,31 +105,32 @@ def test_invalid_override_values_rejected():
 
 def test_measurements_equal_true_bearings_in_small_noise_limit():
     s = build_canonical_scenario(noise_sigma_deg=1e-12, deterministic_target=True)
-    rel = nominal_target_track(s) - s.observer.states
-    z = synthesize_measurements(s, np.random.default_rng(0))
+    rel = nominal_target_track(s) - s.observer
+    z = synthesize_measurements(s, np.random.default_rng(0), nominal_target_track(s))
     np.testing.assert_allclose(z, bearings_of(rel), atol=1e-10)
 
 
 def test_gaussian_noise_sample_std():
-    model = NoiseModel(kind="gaussian", sigma=1.0 * DEG)
+    model = NoiseModel(1.0 * DEG)
     draws = model.sample(np.random.default_rng(1), 100_000)
     assert draws.std() == pytest.approx(1.0 * DEG, abs=0.02 * DEG)
 
 
-def test_student_t_infinite_dof_is_exact_gaussian_path():
+def test_default_noise_is_exactly_scaled_standard_normal():
     sigma = 1.0 * DEG
-    gauss = NoiseModel(kind="gaussian", sigma=sigma)
-    student = NoiseModel(kind="student-t", sigma=sigma, nu=math.inf)
-    a = gauss.sample(np.random.default_rng(7), 100_000)
-    b = student.sample(np.random.default_rng(7), 100_000)
-    np.testing.assert_array_equal(a, b)
-    assert abs(a.mean() - b.mean()) <= 0.01 * sigma
-    assert abs(a.std() - b.std()) <= 0.01 * sigma
+    draws = NoiseModel(sigma).sample(np.random.default_rng(7), 1000)
+    np.testing.assert_array_equal(draws, sigma * np.random.default_rng(7).standard_normal(1000))
+
+
+@pytest.mark.parametrize("nu", [0.0, -1.0, math.nan])
+def test_noise_model_rejects_non_positive_dof(nu):
+    with pytest.raises(ValueError, match="degrees of freedom"):
+        NoiseModel(1.0 * DEG, nu)
 
 
 def test_student_t_heavy_tails_widen_spread():
     sigma = 1.0 * DEG
-    t3 = NoiseModel(kind="student-t", sigma=sigma, nu=3.0)
+    t3 = NoiseModel(sigma, nu=3.0)
     draws = t3.sample(np.random.default_rng(8), 200_000)
     # Student-t with nu=3 has std sigma*sqrt(3), visibly above the Gaussian.
     assert draws.std() > 1.5 * sigma
@@ -170,7 +199,7 @@ def test_a_non_finite_error_at_any_scan_is_divergent(bad):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_first_bearing_makes_a_divergent_run_not_a_crash():
     # Student-t draws with a vanishing dof overflow: every bearing is NaN.
-    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2, noise_kind="student-t", noise_nu=1e-300)
+    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2, noise_nu=1e-300)
     for kind in (FILTER_POSSIBILITY, FILTER_STANDARD):
         report = run_single(s, kind, 30, 1)
         assert report.divergent
@@ -187,7 +216,7 @@ def test_nan_first_bearing_makes_a_divergent_run_not_a_crash():
         {"filter_sigma_deg": math.nan},
         {"noise_sigma_deg": math.nan},
         {"noise_sigma_deg": math.inf},
-        {"noise_kind": "student-t", "noise_nu": math.nan},
+        {"noise_nu": math.nan},
         {"initial_range_m": 0.0},
         {"initial_range_m": math.inf},
         {"initial_bearing_deg": math.nan},

@@ -13,8 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from posspf.bench import build_canonical_scenario
 from posspf.cli import main
 from posspf.config import KEYS, KNOT, ConfigError, load_config
+from posspf.filters import PossibilityPFOptions
+from posspf.tma import PriorConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,6 +46,26 @@ def test_defaults_load_without_file():
     assert scenario.scan_count == 40
     # knots round-trip close to the SI canonical speeds
     assert cfg.parsed["scenario"]["target_speed_kn"] * KNOT == pytest.approx(4.0, abs=1e-3)
+
+
+def test_config_defaults_are_the_library_defaults_up_to_knot_rounding():
+    """The default config is the library's canonical engagement, with knots rounded to four decimals."""
+    cfg = load_config(None, [])
+    got, want = cfg.scenario(), build_canonical_scenario()
+    np.testing.assert_allclose(got.observer[:, [0, 2]], want.observer[:, [0, 2]], rtol=0, atol=0.05)
+    np.testing.assert_allclose(got.observer[:, [1, 3]], want.observer[:, [1, 3]], rtol=0, atol=1e-4)
+    np.testing.assert_array_equal(got.target_init[[0, 2]], want.target_init[[0, 2]])
+    np.testing.assert_allclose(got.target_init[[1, 3]], want.target_init[[1, 3]], rtol=0, atol=1e-4)
+    assert (got.T, got.q, got.true_noise, got.filter_sigma, got.deterministic_target) == (
+        want.T, want.q, want.true_noise, want.filter_sigma, want.deterministic_target
+    )
+
+    prior, library_prior = cfg.prior(), PriorConfig()
+    np.testing.assert_allclose(prior.vel_sigma, library_prior.vel_sigma, rtol=1e-5)
+    assert (prior.range_mean, prior.range_sigma, prior.covariance_form) == (
+        library_prior.range_mean, library_prior.range_sigma, library_prior.covariance_form
+    )
+    assert cfg.filter_options() == PossibilityPFOptions()
 
 
 def test_missing_file_is_config_error(tmp_path):

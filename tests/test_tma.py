@@ -12,7 +12,6 @@ from posspf.filters import LinearGaussianTransition
 from posspf.possq import GaussianPossibility
 from posspf.tma import (
     AtOrigin,
-    ObserverTrajectory,
     PriorConfig,
     bearing_jacobian,
     bearing_log_likelihood,
@@ -113,7 +112,7 @@ def test_observer_input_impulsive_velocity_change():
 
 def test_observer_input_canonical_turn_is_velocity_only():
     scenario = build_canonical_scenario()
-    obs = scenario.observer.states
+    obs = scenario.observer
     turns = [
         k
         for k in range(1, scenario.scan_count)
@@ -187,10 +186,10 @@ def test_transition_possibility_peak_at_own_mean():
 def test_transition_possibility_canonical_second_scan():
     scenario = build_canonical_scenario()
     track = nominal_target_track(scenario)
-    rel = track - scenario.observer.states
+    rel = track - scenario.observer
     F = transition_matrix(scenario.T)
     Q = process_noise_matrix(scenario.T, scenario.q)
-    U = observer_input(scenario.observer.states[1], scenario.observer.states[0], scenario.T)
+    U = observer_input(scenario.observer[1], scenario.observer[0], scenario.T)
     predicted = LinearGaussianTransition(F, Q, -U).means(rel[:1])[0]
     np.testing.assert_allclose(predicted, rel[1], atol=1e-9)
 
@@ -376,8 +375,8 @@ def test_init_prior_spread_is_positive_definite(z1, form):
 
 def test_crlb_first_scan_is_prior_spread():
     scenario = build_canonical_scenario()
-    rel = nominal_target_track(scenario) - scenario.observer.states
-    prior = init_prior(0.0, scenario.observer.velocity(0), scenario.filter_sigma)
+    rel = nominal_target_track(scenario) - scenario.observer
+    prior = init_prior(0.0, scenario.observer[0, [1, 3]], scenario.filter_sigma)
     result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
     np.testing.assert_allclose(result.bounds[0], prior.spread)
 
@@ -389,8 +388,8 @@ def test_bearing_jacobian_due_north():
 
 def test_crlb_canonical_curve_finite_and_improving():
     scenario = build_canonical_scenario()
-    rel = nominal_target_track(scenario) - scenario.observer.states
-    prior = init_prior(0.0, scenario.observer.velocity(0), scenario.filter_sigma)
+    rel = nominal_target_track(scenario) - scenario.observer
+    prior = init_prior(0.0, scenario.observer[0, [1, 3]], scenario.filter_sigma)
     result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
     assert np.all(np.isfinite(result.position_bound))
     # Range becomes observable at the first manoeuvre (scan 11): the bound
@@ -431,8 +430,8 @@ def test_crlb_covariance_form_equals_information_form(q, bearing, heading, speed
         q=q, initial_bearing_deg=bearing, target_heading_deg=heading, target_speed=speed,
         initial_range_m=range_m, filter_sigma_deg=sigma_deg,
     )
-    rel = nominal_target_track(scenario) - scenario.observer.states
-    prior = init_prior(bearings_of(rel[:1])[0], scenario.observer.velocity(0), scenario.filter_sigma,
+    rel = nominal_target_track(scenario) - scenario.observer
+    prior = init_prior(bearings_of(rel[:1])[0], scenario.observer[0, [1, 3]], scenario.filter_sigma,
                        PriorConfig(covariance_form=form))
     result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
     reference = crlb_information_form(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
@@ -449,34 +448,16 @@ def test_crlb_covariance_form_equals_information_form(q, bearing, heading, speed
 @example(exponent=300.0)
 def test_crlb_stays_finite_for_any_process_noise_up_to_1e300(exponent):
     scenario = build_canonical_scenario(q=10.0**exponent)
-    rel = nominal_target_track(scenario) - scenario.observer.states
-    prior = init_prior(0.0, scenario.observer.velocity(0), scenario.filter_sigma)
+    rel = nominal_target_track(scenario) - scenario.observer
+    prior = init_prior(0.0, scenario.observer[0, [1, 3]], scenario.filter_sigma)
     result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
     assert np.all(np.isfinite(result.bounds)) and np.all(np.isfinite(result.position_bound))
 
 
 def test_crlb_bounds_are_positive_definite_every_scan():
     scenario = build_canonical_scenario()
-    rel = nominal_target_track(scenario) - scenario.observer.states
-    prior = init_prior(0.0, scenario.observer.velocity(0), scenario.filter_sigma)
+    rel = nominal_target_track(scenario) - scenario.observer
+    prior = init_prior(0.0, scenario.observer[0, [1, 3]], scenario.filter_sigma)
     result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
     for bound in result.bounds:
         np.linalg.cholesky(bound + bound.T)  # symmetrise against roundoff
-
-
-# ---------------------------------------------------------------------------
-# observer trajectory validation
-# ---------------------------------------------------------------------------
-
-
-def test_observer_trajectory_rejects_inconsistent_positions():
-    T = 40.0
-    states = np.zeros((3, 4))
-    states[:, 1] = 2.0  # vx = 2 but positions never move
-    with pytest.raises(ValueError, match="inconsistent"):
-        ObserverTrajectory(states, T)
-
-
-def test_observer_trajectory_needs_two_scans():
-    with pytest.raises(ValueError):
-        ObserverTrajectory(np.zeros((1, 4)), 40.0)
