@@ -13,9 +13,9 @@ config key is checked against its domain when the config loads, so any
 bad value exits 2 naming ``[section] key`` before a command starts, even
 a key the command does not read; run and table1 also reject
 process_noise = 0, which only crlb accepts.  A bound curve that is not
-finite at some scan exits 1 and writes no CSV, on every command: run and
-table1 check it before their runs start.  Outputs are byte-identical
-across repeated invocations with the same config.
+finite at some scan exits 1 and writes no CSV, on every command: ``main``
+checks it before any command starts.  Outputs are byte-identical across
+repeated invocations with the same config.
 """
 
 from __future__ import annotations
@@ -29,41 +29,36 @@ import sys
 from . import __version__
 from .bench import run_batch, scenario_crlb, table1_experiment
 from .config import Config, ConfigError, load_config
-from .tma import CrlbResult
 
 
 def _fmt(value) -> str:
     return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: str, meta: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {meta}\n")
+def _write_csv(cfg: Config, name: str, header: list[str], rows) -> None:
+    """Write ``name`` into the output directory (made on first write) under the metadata line."""
+    outdir = cfg.output_directory()
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# config_hash={cfg.hash()} seed={cfg.base_seed()} version={__version__}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _meta(cfg: Config) -> str:
-    return f"config_hash={cfg.hash()} seed={cfg.base_seed()} version={__version__}"
-
-
-def _finite_crlb(scenario, prior) -> CrlbResult:
-    """The scenario's bound curve; a non-finite scan is a runtime failure."""
-    result = scenario_crlb(scenario, prior)
-    bad = [k + 1 for k, b in enumerate(result.position_bound) if not math.isfinite(b)]
+def _finite_crlb(scenario, prior):
+    """The scenario's position-bound curve; a non-finite scan is a runtime failure."""
+    bound = scenario_crlb(scenario, prior).position_bound
+    bad = [k + 1 for k, b in enumerate(bound) if not math.isfinite(b)]
     if bad:
         raise RuntimeError(
             f"position bound is not finite at scan {bad[0]} ({len(bad)} of "
             f"{scenario.scan_count} scans); no CSV written"
         )
-    return result
+    return bound
 
 
-def cmd_run(cfg: Config) -> int:
-    scenario = cfg.scenario(filtering=True)
-    # A bound that is not finite fails the command: find out before the batch runs.
-    bound = _finite_crlb(scenario, cfg.prior()).position_bound
+def cmd_run(cfg: Config, scenario, prior, bound) -> int:
     batch = run_batch(
         scenario,
         cfg.filter_kind(),
@@ -71,17 +66,11 @@ def cmd_run(cfg: Config) -> int:
         cfg.runs(),
         cfg.base_seed(),
         cfg.parallelism(),
-        cfg.prior(),
+        prior,
         cfg.filter_options(),
     )
-    outdir = cfg.output_directory()
-    os.makedirs(outdir, exist_ok=True)
-    meta = _meta(cfg)
-
     _write_csv(
-        os.path.join(outdir, "runs.csv"),
-        meta,
-        ["run", "seed", "final_err_m", "divergent"],
+        cfg, "runs.csv", ["run", "seed", "final_err_m", "divergent"],
         (
             (i, r.seed, float(r.pos_errors[-1]), int(r.divergent))
             for i, r in enumerate(batch.reports)
@@ -92,9 +81,7 @@ def cmd_run(cfg: Config) -> int:
         print(f"error: all {batch.n_runs} runs diverged; rms.csv not written", file=sys.stderr)
         return 1
     _write_csv(
-        os.path.join(outdir, "rms.csv"),
-        meta,
-        ["scan", "time_s", "rms_m", "crlb_m", "n_alive_runs"],
+        cfg, "rms.csv", ["scan", "time_s", "rms_m", "crlb_m", "n_alive_runs"],
         (
             (k + 1, k * scenario.T, float(batch.rms_m[k]), float(bound[k]), batch.n_alive)
             for k in range(scenario.scan_count)
@@ -109,11 +96,7 @@ def cmd_run(cfg: Config) -> int:
     return 0
 
 
-def cmd_table1(cfg: Config) -> int:
-    scenario = cfg.scenario(filtering=True)
-    # The table holds no bound, but a bound that is not finite fails the
-    # command as it does in run: find out before the grid starts.
-    _finite_crlb(scenario, cfg.prior())
+def cmd_table1(cfg: Config, scenario, prior, bound) -> int:
     cells = table1_experiment(
         scenario,
         cfg.n_grid(),
@@ -121,15 +104,11 @@ def cmd_table1(cfg: Config) -> int:
         cfg.runs(),
         cfg.base_seed(),
         cfg.parallelism(),
-        cfg.prior(),
+        prior,
         cfg.filter_options(),
     )
-    outdir = cfg.output_directory()
-    os.makedirs(outdir, exist_ok=True)
     _write_csv(
-        os.path.join(outdir, "table1.csv"),
-        _meta(cfg),
-        ["filter", "n", "nu", "runs", "divergent_pct", "wilson_lo", "wilson_hi"],
+        cfg, "table1.csv", ["filter", "n", "nu", "runs", "divergent_pct", "wilson_lo", "wilson_hi"],
         map(dataclasses.astuple, cells),  # the field order is the column order
     )
     for c in cells:
@@ -140,22 +119,21 @@ def cmd_table1(cfg: Config) -> int:
     return 0
 
 
-def cmd_crlb(cfg: Config) -> int:
-    scenario = cfg.scenario()
-    result = _finite_crlb(scenario, cfg.prior())
-    outdir = cfg.output_directory()
-    os.makedirs(outdir, exist_ok=True)
+def cmd_crlb(cfg: Config, scenario, prior, bound) -> int:
     _write_csv(
-        os.path.join(outdir, "crlb.csv"),
-        _meta(cfg),
-        ["scan", "time_s", "pos_bound_m"],
-        (
-            (k + 1, k * scenario.T, float(result.position_bound[k]))
-            for k in range(scenario.scan_count)
-        ),
+        cfg, "crlb.csv", ["scan", "time_s", "pos_bound_m"],
+        ((k + 1, k * scenario.T, float(bound[k])) for k in range(scenario.scan_count)),
     )
-    print(f"crlb: scan 1 {result.position_bound[0]:.1f} m, final {result.position_bound[-1]:.1f} m")
+    print(f"crlb: scan 1 {bound[0]:.1f} m, final {bound[-1]:.1f} m")
     return 0
+
+
+# Command name -> (function, help text): the parser and the dispatch both read it.
+COMMANDS = {
+    "run": (cmd_run, "Monte Carlo batch of one filter; writes rms.csv and runs.csv"),
+    "table1": (cmd_table1, "divergence grid over N and Student-t nu; writes table1.csv"),
+    "crlb": (cmd_crlb, "position-bound reference curve; writes crlb.csv"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,11 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bearings-only tracking benchmark: possibility vs standard particle filter.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "Monte Carlo batch of one filter; writes rms.csv and runs.csv"),
-        ("table1", "divergence grid over N and Student-t nu; writes table1.csv"),
-        ("crlb", "position-bound reference curve; writes crlb.csv"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", metavar="PATH", default=None, help="config file (INI); defaults apply if omitted")
         cmd.add_argument(
@@ -186,11 +160,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "table1":
-            return cmd_table1(cfg)
-        return cmd_crlb(cfg)
+        # Scenario, prior, then bound, for every command before it runs or writes anything.
+        scenario = cfg.scenario(filtering=args.command != "crlb")
+        prior = cfg.prior()
+        return COMMANDS[args.command][0](cfg, scenario, prior, _finite_crlb(scenario, prior))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -225,13 +226,23 @@ def _error(section: str, key: str, key_lines: dict[tuple[str, str], int], messag
 
 
 def _key_line_map(text: str) -> dict[tuple[str, str], int]:
-    lines, section = {}, None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            section = stripped[1:-1].strip().lower()
-        elif "=" in stripped and section is not None and not stripped.startswith(("#", ";")):
-            lines[(section, stripped.split("=", 1)[0].strip().lower())] = lineno
+    """The line of each key, by configparser's rules: a comment starts at ``#`` or ``;``
+    after whitespace, ``:`` ends a key as ``=`` does, and a deeper-indented line
+    continues the value above it."""
+    lines, section, key, indent = {}, None, None, 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        value = re.split(r"(?:^|(?<=\s))[#;]", line, maxsplit=1)[0].strip()
+        if not value:
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            continue
+        indent, header = depth, configparser.ConfigParser.SECTCRE.match(value)
+        if header:
+            section, key = header.group("header").lower(), None
+        elif section is not None:
+            key = re.split("[=:]", value, maxsplit=1)[0].strip().lower()
+            lines[(section, key)] = lineno
     return lines
 
 

@@ -180,8 +180,6 @@ def peak_set_representative(states: np.ndarray, norm_log_weights: np.ndarray, cu
     if cut <= 0.0:
         return int(np.argmax(norm_log_weights))
     selected = np.flatnonzero(norm_log_weights >= -cut)
-    if selected.shape[0] == 1:
-        return int(selected[0])
     sub = states[selected]
     wsub = np.exp(norm_log_weights[selected])
     barycentre = (wsub[:, None] * sub).sum(axis=0) / wsub.sum()

@@ -1,6 +1,8 @@
 """Tests for the command-line front end and its CSV contract."""
 
+import ast
 import contextlib
+import importlib
 import io
 import math
 import re
@@ -80,10 +82,21 @@ def test_unknown_key_names_key_and_line(tmp_path):
         load_config(str(path))
 
 
-def test_bad_value_names_key(tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[experiment]\nruns = many\n", r"\[experiment\] runs \(line 2\): expected an integer"),
+        # configparser folds the indented line into observer_headings_deg: scans is set on line 2
+        ("[scenario]\nscans = 1\nobserver_headings_deg = 70,\n  scans = 340\n", r"\[scenario\] scans \(line 2\): must be"),
+        ("[scenario]\nscans: 1\n", r"\[scenario\] scans \(line 2\): must be"),
+        ("[scenario]   # engagement\nscans = 1\n", r"\[scenario\] scans \(line 2\): must be"),
+    ],
+    ids=["integer", "continuation-line", "colon-delimiter", "commented-header"],
+)
+def test_bad_value_names_key(tmp_path, text, message):
     path = tmp_path / "bad.ini"
-    path.write_text("[experiment]\nruns = many\n")
-    with pytest.raises(ConfigError, match=r"\[experiment\] runs \(line 2\): expected an integer"):
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
         load_config(str(path))
 
 
@@ -188,6 +201,40 @@ def test_readme_lists_every_key_with_its_default_and_domain():
         for key, row in rows.items()
     }
     assert readme_key_rows((ROOT / "README.md").read_text()) == expected
+
+
+def readme_blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+
+
+def test_readme_ini_example_loads(tmp_path):
+    (block,) = readme_blocks("ini")
+    path = tmp_path / "example.ini"
+    path.write_text(block)
+    assert load_config(str(path)).runs() == 500
+
+
+def test_readme_python_example_imports_exist():
+    """Every name the library example imports exists; the block is not run (its batch takes seconds)."""
+    (block,) = readme_blocks("python")
+    imports = [node for node in ast.walk(ast.parse(block)) if isinstance(node, ast.ImportFrom)]
+    names = [(node.module, alias.name) for node in imports if node.module.split(".")[0] == "posspf" for alias in node.names]
+    assert names
+    for module, name in names:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_help_lists_every_command_with_its_help(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal width
+    for name, help_text in [
+        ("run", "Monte Carlo batch of one filter; writes rms.csv and runs.csv"),
+        ("table1", "divergence grid over N and Student-t nu; writes table1.csv"),
+        ("crlb", "position-bound reference curve; writes crlb.csv"),
+    ]:
+        assert f"{name} {help_text}" in out
 
 
 # ---------------------------------------------------------------------------
