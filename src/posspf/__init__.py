@@ -16,7 +16,6 @@ from .possq import (
 )
 from .filters import (
     AllWeightsZero,
-    FilterStepRecord,
     LinearGaussianTransition,
     ParticleSet,
     PossibilityPFOptions,

@@ -269,14 +269,12 @@ def run_single(
     rel = target - scenario.observer
     z = synthesize_measurements(scenario, rng_world, target)
 
-    sigma = scenario.filter_sigma
-    prior_poss = init_prior(z[0], scenario.observer[0, [1, 3]], sigma, prior)
+    prior_poss = init_prior(z[0], scenario.observer[0, [1, 3]], scenario.filter_sigma, prior)
     transition = LinearGaussianTransition(
         transition_matrix(scenario.T), process_noise_matrix(scenario.T, scenario.q)
     )
-
-    def log_lik(states, meas):
-        return bearing_log_likelihood(states, meas, sigma)
+    # Looked up per run, so a patched module attribute is the one bound.
+    log_lik = partial(bearing_log_likelihood, sigma=scenario.filter_sigma)
 
     track = np.full((scenario.scan_count, 2), np.nan)
     collapsed = False
@@ -295,8 +293,8 @@ def run_single(
         for k in range(1, scenario.scan_count):
             U = observer_input(scenario.observer[k], scenario.observer[k - 1], scenario.T)
             transition.offset = -U
-            ps, record = step(ps, transition, log_lik, z[k], rng_filter, k)
-            track[k] = record.estimate[[0, 2]]
+            ps, estimate = step(ps, transition, log_lik, z[k], rng_filter, k)
+            track[k] = estimate[[0, 2]]
     except AllWeightsZero:
         collapsed = True
 
@@ -331,6 +329,7 @@ class BatchResult:
         return self.n_runs - self.n_divergent
 
 
+# Not a partial of run_single: a worker looks run_single up, so a pre-fork patch runs and is never pickled.
 def _run_single_args(args) -> RunReport:
     return run_single(*args)
 
@@ -431,9 +430,19 @@ def table1_experiment(
 
 
 def scenario_crlb(scenario: Scenario, prior: PriorConfig = PriorConfig()):
-    """Position-bound curve along the nominal trajectory, from the prior spread."""
-    nominal = nominal_target_track(scenario)
-    rel = nominal - scenario.observer
+    """Position-bound curve along the nominal trajectory, from the prior spread.
+
+    Raises ValueError naming the first scan whose bound is not finite, as
+    when a spread overflows.
+    """
+    rel = nominal_target_track(scenario) - scenario.observer
     z1 = bearings_of(rel[:1])[0]
-    prior_poss = init_prior(z1, scenario.observer[0, [1, 3]], scenario.filter_sigma, prior)
-    return crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior_poss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prior_poss = init_prior(z1, scenario.observer[0, [1, 3]], scenario.filter_sigma, prior)
+        result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior_poss)
+    bad = np.flatnonzero(~np.isfinite(result.position_bound))
+    if bad.size:
+        raise ValueError(
+            f"position bound is not finite at scan {bad[0] + 1} ({bad.size} of {scenario.scan_count} scans)"
+        )
+    return result

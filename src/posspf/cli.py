@@ -11,18 +11,18 @@ crlb    Position-bound reference curve; writes crlb.csv.
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.  Every
 config key is checked against its domain when the config loads, so any
 bad value exits 2 naming ``[section] key`` before a command starts, even
-a key the command does not read; run and table1 also reject
-process_noise = 0, which only crlb accepts.  A bound curve that is not
-finite at some scan exits 1 and writes no CSV, on every command: ``main``
-checks it before any command starts.  Outputs are byte-identical across
-repeated invocations with the same config.
+a key the command does not read, and counts beyond their budgets; run
+and table1 also reject process_noise = 0, which only crlb accepts.
+``main`` computes the bound curve before any command starts, and
+``scenario_crlb`` raises when it is not finite at some scan, so that case
+exits 1 and writes no CSV, on every command.  Outputs are byte-identical
+across repeated invocations with the same config.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -44,18 +44,6 @@ def _write_csv(cfg: Config, name: str, header: list[str], rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _finite_crlb(scenario, prior):
-    """The scenario's position-bound curve; a non-finite scan is a runtime failure."""
-    bound = scenario_crlb(scenario, prior).position_bound
-    bad = [k + 1 for k, b in enumerate(bound) if not math.isfinite(b)]
-    if bad:
-        raise RuntimeError(
-            f"position bound is not finite at scan {bad[0]} ({len(bad)} of "
-            f"{scenario.scan_count} scans); no CSV written"
-        )
-    return bound
 
 
 def cmd_run(cfg: Config, scenario, prior, bound) -> int:
@@ -163,7 +151,7 @@ def main(argv=None) -> int:
         # Scenario, prior, then bound, for every command before it runs or writes anything.
         scenario = cfg.scenario(filtering=args.command != "crlb")
         prior = cfg.prior()
-        return COMMANDS[args.command][0](cfg, scenario, prior, _finite_crlb(scenario, prior))
+        return COMMANDS[args.command][0](cfg, scenario, prior, scenario_crlb(scenario, prior).position_bound)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -65,6 +65,17 @@ def at_least(k: int) -> Domain:
     return Domain(f"at least {k}", lambda n: n >= k)
 
 
+def between(lo: int, hi: int) -> Domain:
+    return Domain(f"from {lo} to {hi}", lambda n: lo <= n <= hi)
+
+
+# Count budgets, so that a typo fails at load and not deep in numpy or after
+# hours: one particle set of MAX_PARTICLES holds 32 MB of states.
+MAX_PARTICLES = 10**6
+MAX_RUNS = 10**6
+MAX_SCANS = 10**5
+
+
 def one_of(*choices: str) -> Domain:
     return Domain("one of " + ", ".join(choices), lambda s: s in choices)
 
@@ -78,7 +89,7 @@ class Key:
 
 KEYS: dict[str, dict[str, Key]] = {
     "scenario": {
-        "scans":                 Key("40", "an integer", at_least(2)),
+        "scans":                 Key("40", "an integer", between(2, MAX_SCANS)),
         "sample_time_s":         Key("40.0", "a number", POSITIVE),
         "target_range_km":       Key("10.0", "a number", POSITIVE),
         "target_bearing_deg":    Key("0.0", "a number", FINITE),
@@ -96,7 +107,7 @@ KEYS: dict[str, dict[str, Key]] = {
     },
     "filter": {
         "kind":                    Key("possibility", "text", one_of("possibility", "standard")),
-        "particles":               Key("5000", "an integer", at_least(1)),
+        "particles":               Key("5000", "an integer", between(1, MAX_PARTICLES)),
         "sigma_deg":               Key("1.0", "a number", POSITIVE),
         "range_prior_km":          Key("10.0", "a number", POSITIVE),
         "range_prior_sigma_km":    Key("3.5", "a number", POSITIVE),
@@ -108,11 +119,12 @@ KEYS: dict[str, dict[str, Key]] = {
         "map_peak_cut":            Key("0.5", "a number", NONNEGATIVE),
     },
     "experiment": {
-        "runs":        Key("100", "an integer", at_least(1)),
+        "runs":        Key("100", "an integer", between(1, MAX_RUNS)),
         "base_seed":   Key("20240501", "an integer", at_least(0)),
         "parallelism": Key("1", "an integer", at_least(1)),
         "n_grid":      Key("2000, 5000", "comma-separated numbers",
-                           Domain("whole numbers >= 1", lambda xs: all(x >= 1 and x.is_integer() for x in xs))),
+                           Domain(f"whole numbers from 1 to {MAX_PARTICLES}",
+                                  lambda xs: all(1 <= x <= MAX_PARTICLES and x.is_integer() for x in xs))),
         "nu_grid":     Key("3, 5, 8, inf", "comma-separated numbers",
                            Domain("positive (inf allowed)", lambda xs: all(x > 0 for x in xs))),
     },

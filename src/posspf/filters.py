@@ -54,21 +54,6 @@ class ParticleSet:
 
 
 @dataclass(frozen=True)
-class FilterStepRecord:
-    """Per-scan output: the point estimate and the peak weight behind it.
-
-    For the possibility filter the estimate is a particle of that scan's
-    predicted set and ``peak_weight`` is the pre-normalisation peak; for
-    the standard filter the estimate is the weighted mean and
-    ``peak_weight`` the largest normalised weight.
-    """
-
-    scan_index: int
-    estimate: np.ndarray
-    peak_weight: float
-
-
-@dataclass(frozen=True)
 class PossibilityPFOptions:
     """Policy knobs of the possibility particle filter.
 
@@ -227,28 +212,22 @@ def possibility_pf_step(
     rng: np.random.Generator,
     scan_index: int,
     options: PossibilityPFOptions = PossibilityPFOptions(),
-) -> tuple[ParticleSet, FilterStepRecord]:
+) -> tuple[ParticleSet, np.ndarray]:
     """One prediction/update/resampling cycle of the possibility filter.
 
-    Raises :class:`AllWeightsZero` when the peak weight is no longer a
-    positive finite number (filter collapse; callers report the run as
-    divergent).
+    Returns the resampled set and the point estimate, a particle of the
+    predicted set (see :func:`peak_set_representative`).  Raises
+    :class:`AllWeightsZero` when the peak weight is no longer a positive
+    finite number (filter collapse; callers report the run as divergent).
     """
     predicted = transition.propose(ps.states, rng, options)
     log_w = _log_weights(ps.weights)
     if options.transition_weighting == "gaussian":
         log_w = log_w + transition.log_possibility_of_move(predicted, ps.states)
     log_w = log_w + log_likelihood(predicted, z)
-    peak = _finite_peak(log_w, scan_index)
-    norm_log_w = log_w - peak
+    norm_log_w = log_w - _finite_peak(log_w, scan_index)
     j = peak_set_representative(predicted, norm_log_w, options.map_peak_cut)
-    record = FilterStepRecord(
-        scan_index=scan_index,
-        estimate=predicted[j].copy(),
-        peak_weight=float(np.exp(peak)),
-    )
-    new_ps = possibility_pf_resample(predicted, np.exp(norm_log_w), rng)
-    return new_ps, record
+    return possibility_pf_resample(predicted, np.exp(norm_log_w), rng), predicted[j]
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -274,17 +253,15 @@ def standard_pf_step(
     z,
     rng: np.random.Generator,
     scan_index: int,
-) -> tuple[ParticleSet, FilterStepRecord]:
-    """One SIR cycle: propagate through the model, weight, MMSE estimate, systematic resampling."""
+) -> tuple[ParticleSet, np.ndarray]:
+    """One SIR cycle: propagate through the model, weight, resample systematically.
+
+    Returns the resampled set and the weighted-mean (MMSE) estimate.
+    """
     states = transition.sample_model(ps.states, rng)
     log_w = _log_weights(ps.weights) + log_likelihood(states, z)
     w = np.exp(log_w - _finite_peak(log_w, scan_index))
     w /= w.sum()
-    record = FilterStepRecord(
-        scan_index=scan_index,
-        estimate=w @ states,
-        peak_weight=float(w.max()),
-    )
     idx = systematic_resample(w, rng)
     n = states.shape[0]
-    return ParticleSet(np.take(states, idx, axis=0), np.full(n, 1.0 / n)), record
+    return ParticleSet(np.take(states, idx, axis=0), np.full(n, 1.0 / n)), w @ states

@@ -72,8 +72,8 @@ def run_possibility_toy(z, n, seed, options=PossibilityPFOptions()):
     track = [ps.states[j, 0]]
     transition = LinearGaussianTransition([[1.0]], [[Q]])
     for k in range(1, len(z)):
-        ps, record = possibility_pf_step(ps, transition, toy_log_likelihood, z[k], rng, k, options)
-        track.append(record.estimate[0])
+        ps, estimate = possibility_pf_step(ps, transition, toy_log_likelihood, z[k], rng, k, options)
+        track.append(estimate[0])
     return np.array(track)
 
 
@@ -86,6 +86,6 @@ def run_standard_toy(z, n, seed):
     track = [float(ps.weights @ ps.states[:, 0])]
     transition = LinearGaussianTransition([[1.0]], [[Q]])
     for k in range(1, len(z)):
-        ps, record = standard_pf_step(ps, transition, toy_log_likelihood, z[k], rng, k)
-        track.append(record.estimate[0])
+        ps, estimate = standard_pf_step(ps, transition, toy_log_likelihood, z[k], rng, k)
+        track.append(estimate[0])
     return np.array(track)

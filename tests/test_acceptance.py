@@ -359,12 +359,12 @@ def test_criterion_8_invariant_suite(canonical, tmp_path):
         transition.offset = -U
         replay = np.random.default_rng((3, 10, k))
         predicted = transition.propose(ps.states, replay, options)
-        ps, record = possibility_pf_step(
+        ps, estimate = possibility_pf_step(
             ps, transition, log_lik, z[k], np.random.default_rng((3, 10, k)), k, options
         )
         if ps.weights.max() != 1.0:
             failures.append(f"possibility max weight != 1 at scan {k}")
-        if not any(np.array_equal(record.estimate, row) for row in predicted):
+        if not any(np.array_equal(estimate, row) for row in predicted):
             failures.append(f"MAP estimate not a predicted particle at scan {k}")
         ps_std, _ = standard_pf_step(
             ps_std, transition, log_lik, z[k], np.random.default_rng((3, 11, k)), k

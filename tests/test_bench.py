@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from posspf import bench
 from posspf.bench import (
     FILTER_POSSIBILITY,
     FILTER_STANDARD,
@@ -275,6 +278,28 @@ def test_batch_parallelism_does_not_change_results():
         np.testing.assert_array_equal(a.estimate_track, b.estimate_track)
 
 
+def test_batch_workers_call_the_module_level_run_single(monkeypatch):
+    """A patch of ``bench.run_single`` made before the pool forks is what the workers run.
+
+    The benchmark harness times runs this way, so the pool must look the
+    function up by name in each worker and never pickle it.
+    """
+    if len(os.sched_getaffinity(0)) < 2 or multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs two usable cores and the fork start method")
+    original = bench.run_single
+
+    def tagging(*args):
+        report = original(*args)
+        report.worker_pid = os.getpid()
+        return report
+
+    monkeypatch.setattr(bench, "run_single", tagging)
+    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+    batch = run_batch(s, FILTER_STANDARD, 20, 4, 3, parallelism=2)
+    pids = [getattr(r, "worker_pid", None) for r in batch.reports]
+    assert None not in pids and os.getpid() not in pids
+
+
 class SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers and starts no process."""
 
@@ -357,6 +382,19 @@ def test_scenario_crlb_first_scan_matches_prior():
     expected_scan1 = math.sqrt(cross + 3.5e3**2)
     assert result.position_bound[0] == pytest.approx(expected_scan1, rel=1e-9)
     assert np.all(np.isfinite(result.position_bound))
+
+
+@pytest.mark.parametrize(
+    "scenario, prior",
+    [
+        (build_canonical_scenario(), PriorConfig(range_sigma=1e300)),
+        (build_canonical_scenario(filter_sigma_deg=1e300), PriorConfig()),
+    ],
+)
+def test_scenario_crlb_raises_naming_the_first_non_finite_scan(recwarn, scenario, prior):
+    with pytest.raises(ValueError, match=r"^position bound is not finite at scan 1 \(40 of 40 scans\)$"):
+        scenario_crlb(scenario, prior)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_scenario_crlb_uses_every_prior_field():

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import math
@@ -306,7 +307,6 @@ def test_zero_process_noise_is_accepted_by_crlb(tmp_path):
     assert len(rows) == 40 and all(math.isfinite(float(r[2])) for r in rows)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "override, first_bad_scan",
     [
@@ -357,12 +357,43 @@ def test_bad_experiment_or_geometry_exits_2_naming_the_key(tmp_path, capsys, com
     assert not out.exists()
 
 
+def refuse_to_start(*args):
+    raise AssertionError("a command started with a count over its budget")
+
+
+@pytest.mark.parametrize(
+    "command, override, key",
+    [
+        ("run", "filter.particles=100000000000000000000", "[filter] particles"),
+        ("table1", "experiment.n_grid=1e300", "[experiment] n_grid"),
+        ("table1", "experiment.n_grid=2000, 1000001", "[experiment] n_grid"),
+        ("run", "scenario.scans=100000000000000000000", "[scenario] scans"),
+        ("run", "experiment.runs=100000000000000000000", "[experiment] runs"),
+    ],
+)
+def test_counts_over_budget_exit_2_naming_the_key(tmp_path, capsys, monkeypatch, command, override, key):
+    # Stubs stand in for the batch and the grid, so a missing budget fails fast instead of allocating.
+    monkeypatch.setattr("posspf.cli.run_batch", refuse_to_start)
+    monkeypatch.setattr("posspf.cli.table1_experiment", refuse_to_start)
+    out = tmp_path / "out"
+    code = main([command, "--set", f"output.directory={out}", "--set", override])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_counts_at_their_budget_load():
+    cfg = load_config(None, ["filter.particles=1000000", "experiment.runs=1000000",
+                             "scenario.scans=100000", "experiment.n_grid=1, 1000000"])
+    assert (cfg.particles(), cfg.runs(), cfg.n_grid()) == (10**6, 10**6, [1, 10**6])
+    assert cfg.parsed["scenario"]["scans"] == 10**5
+
+
 def test_infinite_noise_dof_is_accepted(tmp_path):
     args = ["run", "--set", f"output.directory={tmp_path}", "--set", "scenario.noise=student-t"]
     assert main(args + ["--set", "scenario.noise_dof=inf"] + FAST_RUN) == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_checks_the_bound_before_the_batch_starts(tmp_path, capsys, monkeypatch):
     started = []
     monkeypatch.setattr("posspf.cli.run_batch", lambda *args: started.append(args))
@@ -636,3 +667,54 @@ def test_crlb_curve_finite_and_improves_after_manoeuvre(tmp_path):
     assert np.all(np.isfinite(bounds))
     manoeuvre_scan = 11  # first scan of the second observer leg (1-based)
     assert bounds[-1] < bounds[manoeuvre_scan - 1]
+
+
+# ---------------------------------------------------------------------------
+# reference outputs
+# ---------------------------------------------------------------------------
+
+# Small configurations of every command and their output digests: the exit
+# code, stdout, and each CSV after its metadata line (test_config_hash_is_pinned
+# pins that line).  The digests were recorded at commit e60d24e; they hold for
+# the numpy build that recorded them, so a different numpy or BLAS build may
+# need them re-recorded from that commit.
+REFERENCE_OUTPUTS = {
+    "run-possibility": (["run", "filter.particles=500", "experiment.runs=10"], "5324963991d22912"),
+    "run-standard": (
+        ["run", "filter.kind=standard", "filter.particles=500", "experiment.runs=10"], "9b3694afaddaec68"
+    ),
+    "run-max-entropy-gaussian": (
+        ["run", "filter.particles=200", "experiment.runs=5", "filter.proposal=max-entropy",
+         "filter.transition_weighting=gaussian", "filter.map_peak_cut=0"],
+        "ba86322d797b5b0c",
+    ),
+    "run-all-divergent": (["run", "filter.particles=1", "experiment.runs=3"], "0ac28246f8b6f406"),
+    "table1": (
+        ["table1", "experiment.n_grid=200", "experiment.nu_grid=3, inf", "experiment.runs=5",
+         "experiment.parallelism=2"],
+        "f0bf03c5779656aa",
+    ),
+    "crlb": (["crlb"], "9ecb1f70205746eb"),
+    "crlb-noise-free": (["crlb", "scenario.process_noise=0"], "cea88b28f05933f9"),
+}
+
+
+def output_digest(command, overrides, outdir, capsys):
+    args = [command, "--set", f"output.directory={outdir}"]
+    for item in overrides:
+        args += ["--set", item]
+    code = main(args)
+    digest = hashlib.sha256(f"exit {code}\n".encode())
+    digest.update(capsys.readouterr().out.encode())
+    for path in sorted(outdir.glob("*.csv")):
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[0].startswith("# config_hash="), path.name
+        digest.update(path.name.encode())
+        digest.update("".join(lines[1:]).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", REFERENCE_OUTPUTS)
+def test_command_outputs_match_reference_digest(tmp_path, capsys, case):
+    (command, *overrides), expected = REFERENCE_OUTPUTS[case]
+    assert output_digest(command, overrides, tmp_path, capsys) == expected

@@ -154,9 +154,9 @@ def test_single_particle_tracks_deterministic_propagation():
     flat = lambda states, z: np.zeros(states.shape[0])
     ps = ParticleSet(np.array([[scale]]), np.array([1.0]))
     rng = np.random.default_rng(2)
-    ps, record = possibility_pf_step(ps, transition, flat, 0.0, rng, 1, TEXTBOOK_OPTIONS)
+    ps, estimate = possibility_pf_step(ps, transition, flat, 0.0, rng, 1, TEXTBOOK_OPTIONS)
     deterministic = 2.0 * scale - 3.0
-    assert record.estimate[0] == pytest.approx(deterministic, abs=6 * math.sqrt(min_var))
+    assert estimate[0] == pytest.approx(deterministic, abs=6 * math.sqrt(min_var))
     assert ps.weights[0] == 1.0
 
 
@@ -182,11 +182,11 @@ def test_single_particle_weight_stays_one(options):
     ps = ParticleSet(np.array([[0.0]]), np.array([1.0]))
     rng = np.random.default_rng(4)
     for k in range(1, 6):
-        ps, record = possibility_pf_step(
+        ps, estimate = possibility_pf_step(
             ps, transition, lambda s, z: -0.5 * (z - s[:, 0]) ** 2, 0.3, rng, k, options
         )
         assert ps.weights[0] == 1.0
-        assert record.estimate[0] == ps.states[0, 0]
+        assert estimate[0] == ps.states[0, 0]
 
 
 @pytest.mark.parametrize("options", ALL_OPTION_SETS)
@@ -217,8 +217,8 @@ def test_standard_single_particle_estimate_is_the_particle():
     transition = LinearGaussianTransition([[1.0]], [[1.0]])
     ps = ParticleSet(np.array([[5.0]]), np.array([1.0]))
     rng = np.random.default_rng(10)
-    ps, record = standard_pf_step(ps, transition, lambda s, z: np.zeros(1), 0.0, rng, 1)
-    assert record.estimate[0] == ps.states[0, 0]
+    ps, estimate = standard_pf_step(ps, transition, lambda s, z: np.zeros(1), 0.0, rng, 1)
+    assert estimate[0] == ps.states[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +237,8 @@ def test_map_estimate_is_a_predicted_particle(options):
         replay_rng = np.random.default_rng((77, k))
         predicted = transition.propose(ps.states, replay_rng, options)
         step_rng = np.random.default_rng((77, k))
-        ps, record = possibility_pf_step(ps, transition, toy_log_likelihood, z[k], step_rng, k, options)
-        assert any(np.array_equal(record.estimate, row) for row in predicted)
+        ps, estimate = possibility_pf_step(ps, transition, toy_log_likelihood, z[k], step_rng, k, options)
+        assert any(np.array_equal(estimate, row) for row in predicted)
 
 
 def test_peak_set_representative_tie_breaks_to_first_index():
