@@ -34,7 +34,6 @@ from .tma import (
     bearings_of,
     crlb_curve,
     init_prior,
-    observer_input,
     process_noise_matrix,
     transition_matrix,
     wrap_angle,

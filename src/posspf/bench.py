@@ -11,9 +11,11 @@ of the parallelism degree.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -36,7 +38,6 @@ from .tma import (
     bearings_of,
     crlb_curve,
     init_prior,
-    observer_input,
     process_noise_matrix,
     transition_matrix,
     wrap_angle,
@@ -269,10 +270,10 @@ def run_single(
     rel = target - scenario.observer
     z = synthesize_measurements(scenario, rng_world, target)
 
-    prior_poss = init_prior(z[0], scenario.observer[0, [1, 3]], scenario.filter_sigma, prior)
-    transition = LinearGaussianTransition(
-        transition_matrix(scenario.T), process_noise_matrix(scenario.T, scenario.q)
-    )
+    obs = scenario.observer
+    prior_poss = init_prior(z[0], obs[0, [1, 3]], scenario.filter_sigma, prior)
+    F = transition_matrix(scenario.T)
+    transition = LinearGaussianTransition(F, process_noise_matrix(scenario.T, scenario.q))
     # Looked up per run, so a patched module attribute is the one bound.
     log_lik = partial(bearing_log_likelihood, sigma=scenario.filter_sigma)
 
@@ -291,10 +292,10 @@ def run_single(
             step = standard_pf_step
 
         for k in range(1, scenario.scan_count):
-            U = observer_input(scenario.observer[k], scenario.observer[k - 1], scenario.T)
-            transition.offset = -U
+            # The relative state moves by F, less the observer's own move.
+            transition.offset = F @ obs[k - 1] - obs[k]
             ps, estimate = step(ps, transition, log_lik, z[k], rng_filter, k)
-            track[k] = estimate[[0, 2]]
+            track[k] = estimate[::2]
     except AllWeightsZero:
         collapsed = True
 
@@ -334,6 +335,11 @@ def _run_single_args(args) -> RunReport:
     return run_single(*args)
 
 
+def _workers(parallelism: int, runs: int) -> int:
+    """Worker processes for ``runs`` runs: at most ``parallelism``, one per run and usable core."""
+    return min(parallelism, runs, len(os.sched_getaffinity(0)))
+
+
 def run_batch(
     scenario: Scenario,
     filter_kind: str,
@@ -343,21 +349,24 @@ def run_batch(
     parallelism: int = 1,
     prior: PriorConfig = PriorConfig(),
     options: PossibilityPFOptions = PossibilityPFOptions(),
+    *,
+    pool: Executor | None = None,
 ) -> BatchResult:
     """Independent seeded runs (base_seed + index) and their aggregates.
 
     Divergent runs are excluded from the RMS curve; the divergence
     percentage carries a Wilson 95% interval.  At most ``parallelism``
     worker processes run, and no more than there are runs or usable cores;
-    results do not depend on their number.
+    results do not depend on their number.  When more than one would run,
+    the runs go to ``pool``, or to a pool opened and shut down here.
     """
     if runs < 1:
         raise ValueError("need at least one run")
     arglist = [(scenario, filter_kind, n, base_seed + i, prior, options) for i in range(runs)]
-    workers = min(parallelism, runs, len(os.sched_getaffinity(0)))
+    workers = _workers(parallelism, runs)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_single_args, arglist, chunksize=max(1, runs // (4 * workers))))
+        with nullcontext(pool) if pool is not None else ProcessPoolExecutor(max_workers=workers) as executor:
+            reports = list(executor.map(_run_single_args, arglist, chunksize=max(1, runs // (4 * workers))))
     else:
         reports = [_run_single_args(a) for a in arglist]
 
@@ -406,26 +415,27 @@ def table1_experiment(
 
     Every cell reuses the same seed block, so all cells (and both filters)
     see identical measurement randomness per run index: cell differences
-    are paired, not seed noise.
+    are paired, not seed noise.  Each cell is one ``run_batch`` call; they
+    share one worker pool, which is shut down before this returns or raises.
     """
     cells = []
-    for filter_kind in (FILTER_STANDARD, FILTER_POSSIBILITY):
-        for n in n_grid:
-            for nu in nu_grid:
-                nu = float(nu)
-                noisy = dataclasses.replace(scenario, true_noise=NoiseModel(scenario.true_noise.sigma, nu))
-                batch = run_batch(noisy, filter_kind, int(n), runs, base_seed, parallelism, prior, options)
-                cells.append(
-                    Table1Cell(
-                        filter_kind=filter_kind,
-                        n=int(n),
-                        nu=nu,
-                        runs=runs,
-                        divergent_pct=batch.divergence_pct,
-                        wilson_lo_pct=batch.wilson_lo_pct,
-                        wilson_hi_pct=batch.wilson_hi_pct,
-                    )
+    workers = _workers(parallelism, runs)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for filter_kind, n, nu in itertools.product((FILTER_STANDARD, FILTER_POSSIBILITY), n_grid, nu_grid):
+            n, nu = int(n), float(nu)
+            noisy = dataclasses.replace(scenario, true_noise=NoiseModel(scenario.true_noise.sigma, nu))
+            batch = run_batch(noisy, filter_kind, n, runs, base_seed, parallelism, prior, options, pool=pool)
+            cells.append(
+                Table1Cell(
+                    filter_kind=filter_kind,
+                    n=n,
+                    nu=nu,
+                    runs=runs,
+                    divergent_pct=batch.divergence_pct,
+                    wilson_lo_pct=batch.wilson_lo_pct,
+                    wilson_hi_pct=batch.wilson_hi_pct,
                 )
+            )
     return cells
 
 

@@ -111,11 +111,12 @@ class LinearGaussianTransition:
         self._proposals: dict = {}
 
     def means(self, states: np.ndarray) -> np.ndarray:
-        means = states @ self.matrix.T
-        # The same sums as broadcasting the (d,) offset, at a fraction of the
-        # cost of numpy's short inner loop over d.
-        means += np.tile(self.offset, (states.shape[0], 1))
-        return means
+        """A x + b for each row x of ``states``, shape (n, d), column-major."""
+        # (A @ x.T).T equals x @ A.T bit for bit, for row- and column-major x,
+        # and costs less; the offset then runs along rows n elements long.
+        means = self.matrix @ states.T
+        means += self.offset[:, None]
+        return means.T
 
     def propose(self, states: np.ndarray, rng: np.random.Generator, options: PossibilityPFOptions) -> np.ndarray:
         """Draw one successor support point per particle."""
@@ -136,10 +137,14 @@ class LinearGaussianTransition:
         return self.noise.log_eval(proposed - self.means(states))
 
     def sample_model(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Probabilistic propagation through the un-inflated Gaussian model."""
+        """Probabilistic propagation through the un-inflated Gaussian model, row-major.
+
+        Row-major because the bootstrap estimate ``w @ states`` sums in
+        memory order: on column-major states its bits differ.
+        """
         moved = self.means(states)
         moved += self.noise.deviation(rng, states.shape[0])
-        return moved
+        return np.ascontiguousarray(moved)
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -165,10 +170,13 @@ def peak_set_representative(states: np.ndarray, norm_log_weights: np.ndarray, cu
     if cut <= 0.0:
         return int(np.argmax(norm_log_weights))
     selected = np.flatnonzero(norm_log_weights >= -cut)
-    sub = states[selected]
-    wsub = np.exp(norm_log_weights[selected])
+    sub = states.take(selected, axis=0)
+    wsub = np.exp(norm_log_weights.take(selected))
     barycentre = (wsub[:, None] * sub).sum(axis=0) / wsub.sum()
-    return int(selected[np.argmin(np.linalg.norm(sub - barycentre, axis=1))])
+    d = sub - barycentre
+    d *= d
+    # What np.linalg.norm(axis=1) computes, without its overhead.
+    return int(selected[np.argmin(np.sqrt(np.add.reduce(d, axis=1)))])
 
 
 def possibility_pf_init(
@@ -188,8 +196,8 @@ def possibility_pf_init(
     source = water_pour_continuous(prior) if options.proposal == "max-entropy" else prior
     states = source.sample(rng, n)
     log_w = prior.log_eval(states)
-    log_w = log_w - _finite_peak(log_w, 0)
-    return ParticleSet(states, np.exp(log_w))
+    log_w -= _finite_peak(log_w, 0)
+    return ParticleSet(states, np.exp(log_w, out=log_w))
 
 
 def possibility_pf_resample(
@@ -200,8 +208,11 @@ def possibility_pf_resample(
     """Water-poured resampling; carries the resampled weights, max renormalised to 1."""
     pour = water_pour_discrete(norm_weights)
     idx = sample_discrete(pour, rng, predicted.shape[0])
-    carried = norm_weights[idx]
-    return ParticleSet(np.take(predicted, idx, axis=0), carried / carried.max())
+    carried = norm_weights.take(idx)
+    carried /= carried.max()
+    # Gathered along the contiguous rows of predicted.T: the set stays
+    # column-major, which a row gather would make several times slower.
+    return ParticleSet(predicted.T.take(idx, axis=1).T, carried)
 
 
 def possibility_pf_step(
@@ -223,11 +234,11 @@ def possibility_pf_step(
     predicted = transition.propose(ps.states, rng, options)
     log_w = _log_weights(ps.weights)
     if options.transition_weighting == "gaussian":
-        log_w = log_w + transition.log_possibility_of_move(predicted, ps.states)
-    log_w = log_w + log_likelihood(predicted, z)
-    norm_log_w = log_w - _finite_peak(log_w, scan_index)
-    j = peak_set_representative(predicted, norm_log_w, options.map_peak_cut)
-    return possibility_pf_resample(predicted, np.exp(norm_log_w), rng), predicted[j]
+        log_w += transition.log_possibility_of_move(predicted, ps.states)
+    log_w += log_likelihood(predicted, z)
+    log_w -= _finite_peak(log_w, scan_index)
+    j = peak_set_representative(predicted, log_w, options.map_peak_cut)
+    return possibility_pf_resample(predicted, np.exp(log_w, out=log_w), rng), predicted[j]
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -240,10 +251,14 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
 
 
 def standard_pf_init(prior: GaussianPossibility, n: int, rng: np.random.Generator) -> ParticleSet:
-    """Bootstrap initialisation: Gaussian prior samples, uniform weights."""
+    """Bootstrap initialisation: Gaussian prior samples, uniform weights.
+
+    The samples are row-major, as :meth:`LinearGaussianTransition.sample_model`
+    explains.
+    """
     if n < 1:
         raise ValueError("particle count must be at least 1")
-    return ParticleSet(prior.sample(rng, n), np.full(n, 1.0 / n))
+    return ParticleSet(np.ascontiguousarray(prior.sample(rng, n)), np.full(n, 1.0 / n))
 
 
 def standard_pf_step(
@@ -259,9 +274,11 @@ def standard_pf_step(
     Returns the resampled set and the weighted-mean (MMSE) estimate.
     """
     states = transition.sample_model(ps.states, rng)
-    log_w = _log_weights(ps.weights) + log_likelihood(states, z)
-    w = np.exp(log_w - _finite_peak(log_w, scan_index))
+    log_w = _log_weights(ps.weights)
+    log_w += log_likelihood(states, z)
+    log_w -= _finite_peak(log_w, scan_index)
+    w = np.exp(log_w, out=log_w)
     w /= w.sum()
     idx = systematic_resample(w, rng)
     n = states.shape[0]
-    return ParticleSet(np.take(states, idx, axis=0), np.full(n, 1.0 / n)), w @ states
+    return ParticleSet(states.take(idx, axis=0), np.full(n, 1.0 / n)), w @ states

@@ -96,8 +96,9 @@ class GaussianPossibility:
         return self.mean + self.deviation(rng, size)
 
     def deviation(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The draws of :meth:`sample` before the mean is added, shape (size, d)."""
-        return rng.standard_normal((int(size), self.dim)) @ self.chol.T
+        """The draws of :meth:`sample` before the mean is added, shape (size, d), column-major."""
+        # (L @ g.T).T equals g @ L.T bit for bit, for row- and column-major g.
+        return (self.chol @ rng.standard_normal((int(size), self.dim)).T).T
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,8 @@ class WaterPouredDensity:
             t = chdtri(d, rng.random(m) * sf_r)
             radii[~on_plateau] = np.sqrt(t)
 
-        return (radii[:, None] * directions) @ self.source.chol.T
+        # (L @ x.T).T equals x @ L.T bit for bit, for row- and column-major x.
+        return (self.source.chol @ (radii[:, None] * directions).T).T
 
 
 @dataclass(frozen=True)
@@ -250,38 +252,49 @@ def water_pour_discrete(weights) -> DiscreteWaterPour:
     n = w.shape[0]
     if n == 0:
         raise EmptyInput("weight vector is empty")
-    top = w.max()
-    if not (w.min() >= 0.0 and top <= 1.0):  # NaN fails both comparisons
+    ws = np.sort(w)  # NaNs sort last
+    top = ws[-1]
+    if not (ws[0] >= 0.0 and top <= 1.0):  # NaN fails both comparisons
         raise WeightsOutOfRange("weights must be finite and within [0, 1]")
     if abs(top - 1.0) > 1e-12:
         raise NoUnitWeight(f"max weight must be exactly 1, got {top!r}")
 
-    ws = np.sort(w)
-    prefix = np.concatenate(([0.0], np.cumsum(ws)))
-    cand = (1.0 - prefix[:-1]) / np.arange(n, 0, -1)
+    cum = np.cumsum(ws)  # prefix[i + 1]
+    cand = np.empty(n)
+    cand[0] = 1.0
+    np.subtract(1.0, cum[:-1], out=cand[1:])
+    cand /= np.arange(n, 0, -1)
     fits = cand <= ws + 1e-15
     i = int(np.argmax(fits))
     if not fits[i]:
         raise NoUnitWeight(
-            f"weights sum to {prefix[-1]:.17g}, less than 1; no pmf dominated by them sums to 1"
+            f"weights sum to {cum[-1]:.17g}, less than 1; no pmf dominated by them sums to 1"
         )
     level = cand[i]
     pmf = np.minimum(w, level)
     return DiscreteWaterPour(level=float(level), pmf=pmf)
 
 
+# Fewer uniforms than this are searched as drawn: sorting them costs more
+# than it saves.
+_SORTED_SEARCH_MIN = 768
+
+
 def sample_discrete(pour: DiscreteWaterPour, rng: np.random.Generator, count: int) -> np.ndarray:
     """Inverse-CDF categorical sampling: ``count`` independent indices.
 
-    Draws ``count`` uniforms in one call, searches the cumulative pmf with
-    the uniforms in ascending order of their top 16 bits (each search then
-    starts near the previous result) and scatters each index back to its
-    uniform's position.  Indices and random stream are those of searching
-    the unsorted uniforms.
+    Draws ``count`` uniforms in one call.  From ``_SORTED_SEARCH_MIN``
+    uniforms on, it searches the cumulative pmf with the uniforms in
+    ascending order of their top 16 bits (each search then starts near the
+    previous result) and scatters each index back to its uniform's
+    position.  Indices and random stream are those of searching the
+    unsorted uniforms.
     """
     cum = np.cumsum(pour.pmf)
     cum[-1] = 1.0  # guard against rounding in the last cell
     u = rng.random(int(count))
+    if u.shape[0] < _SORTED_SEARCH_MIN:
+        return np.searchsorted(cum, u, side="right")
     # A radix sort on the top 16 bits orders the uniforms well enough for
     # the search to benefit; each search result does not depend on the order.
     order = np.argsort((u * 65536.0).astype(np.uint16), kind="stable")

@@ -39,15 +39,6 @@ def transition_matrix(T: float) -> np.ndarray:
     return F
 
 
-def observer_input(xo_next: np.ndarray, xo: np.ndarray, T: float) -> np.ndarray:
-    """Deterministic input absorbing observer acceleration between scans.
-
-    U = xo_next - F @ xo; zero while the observer keeps constant velocity,
-    and confined to the velocity components for an impulsive course change.
-    """
-    return np.asarray(xo_next, dtype=float) - transition_matrix(T) @ np.asarray(xo, dtype=float)
-
-
 def process_noise_matrix(T: float, q: float) -> np.ndarray:
     """White-acceleration process noise matrix, intensity q in m^2/s^3."""
     if T <= 0:
@@ -76,17 +67,24 @@ def bearings_of(states: np.ndarray) -> np.ndarray:
 
 def bearing_log_likelihood(states: np.ndarray, z: float, sigma: float) -> np.ndarray:
     """Log of the Gaussian-shaped bearing likelihood, residual wrapped to (-pi, pi]."""
-    res = z - bearings_of(np.atleast_2d(states))
+    res = bearings_of(np.atleast_2d(states))
+    np.subtract(z, res, out=res)
     if -np.pi <= z <= np.pi:
         # Here res lies in [-2pi, 2pi), so t = pi - res lies in (-pi, 3pi].
         # On that range fmod(t, 2pi) is exact and % adds 2pi only to a
         # negative t, so one shift gives wrap_angle's (pi - res) % 2pi bit
         # for bit, and pi minus it is wrap_angle(res) up to the sign of zero.
-        t = np.pi - res
-        res = np.pi - np.where(t < 0.0, t + 2.0 * np.pi, np.where(t >= 2.0 * np.pi, t - 2.0 * np.pi, t))
+        t = np.subtract(np.pi, res, out=res)
+        below, above = t < 0.0, t >= 2.0 * np.pi
+        np.add(t, 2.0 * np.pi, out=t, where=below)
+        np.subtract(t, 2.0 * np.pi, out=t, where=above)
+        res = np.subtract(np.pi, t, out=t)
     else:
         res = wrap_angle(res)
-    return -0.5 * (res / sigma) ** 2
+    res /= sigma
+    res *= res
+    res *= -0.5
+    return res
 
 
 @dataclass(frozen=True)

@@ -334,7 +334,7 @@ def test_criterion_7_mild_mismatch_robustness(canonical):
 def test_criterion_8_invariant_suite(canonical, tmp_path):
     from posspf.bench import nominal_target_track, synthesize_measurements
     from posspf.filters import PossibilityPFOptions
-    from posspf.tma import observer_input, process_noise_matrix, transition_matrix
+    from posspf.tma import process_noise_matrix, transition_matrix
 
     failures = []
 
@@ -355,8 +355,7 @@ def test_criterion_8_invariant_suite(canonical, tmp_path):
     if ps.weights.max() != 1.0:
         failures.append("possibility init max weight != 1")
     for k in range(1, scenario.scan_count):
-        U = observer_input(scenario.observer[k], scenario.observer[k - 1], scenario.T)
-        transition.offset = -U
+        transition.offset = F @ scenario.observer[k - 1] - scenario.observer[k]
         replay = np.random.default_rng((3, 10, k))
         predicted = transition.propose(ps.states, replay, options)
         ps, estimate = possibility_pf_step(

@@ -301,17 +301,20 @@ def test_batch_workers_call_the_module_level_run_single(monkeypatch):
 
 
 class SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and starts no process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and shutdowns, starts no process."""
 
     started: list[int] = []
+    stopped: list[int] = []
 
     def __init__(self, max_workers):
         SerialPool.started.append(max_workers)
+        self.max_workers = max_workers
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        SerialPool.stopped.append(self.max_workers)
         return False
 
     def map(self, fn, items, chunksize=1):
@@ -332,6 +335,61 @@ def test_batch_starts_at_most_one_worker_per_run_and_core(monkeypatch, paralleli
     serial = run_batch(s, FILTER_STANDARD, 20, runs, 3, parallelism=1)
     for a, b in zip(batch.reports, serial.reports):
         np.testing.assert_array_equal(a.pos_errors, b.pos_errors)
+
+
+@pytest.fixture
+def two_cores_serial_pool(monkeypatch):
+    monkeypatch.setattr("posspf.bench.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("posspf.bench.os.sched_getaffinity", lambda pid: set(range(2)))
+    monkeypatch.setattr(SerialPool, "started", [])
+    monkeypatch.setattr(SerialPool, "stopped", [])
+
+
+@pytest.mark.parametrize("parallelism, pools", [(2, [2, 2]), (1, [])])
+def test_table1_starts_one_pool_per_call(two_cores_serial_pool, parallelism, pools):
+    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+    for _ in range(2):
+        cells = table1_experiment(s, [20, 30], [3.0, math.inf], 3, 5, parallelism=parallelism)
+        assert len(cells) == 8
+    assert SerialPool.started == SerialPool.stopped == pools
+
+
+def test_table1_shuts_its_pool_down_when_a_cell_raises(two_cores_serial_pool, monkeypatch):
+    original = bench.run_batch
+    calls = []
+
+    def second_cell_raises(*args, **kwargs):
+        calls.append(kwargs["pool"])
+        if len(calls) == 2:
+            raise RuntimeError("cell failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_batch", second_cell_raises)
+    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+    with pytest.raises(RuntimeError, match="cell failed"):
+        table1_experiment(s, [20], [3.0, math.inf], 3, 5, parallelism=2)
+    assert calls[0] is calls[1] and SerialPool.started == SerialPool.stopped == [2]
+
+
+def test_table1_shared_pool_gives_the_serial_cells(monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2 or multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs two usable cores and the fork start method")
+    original = bench.run_batch
+    reports = {1: [], 2: []}
+
+    def capture(*args, **kwargs):
+        batch = original(*args, **kwargs)
+        reports[args[5]].extend(batch.reports)
+        return batch
+
+    monkeypatch.setattr(bench, "run_batch", capture)
+    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+    pooled = table1_experiment(s, [20, 30], [3.0, math.inf], 4, 5, parallelism=2)
+    serial = table1_experiment(s, [20, 30], [3.0, math.inf], 4, 5, parallelism=1)
+    assert pooled == serial
+    assert len(reports[2]) == len(reports[1]) == 32
+    for a, b in zip(reports[2], reports[1]):
+        np.testing.assert_array_equal(a.estimate_track, b.estimate_track)
 
 
 def test_wilson_interval_basic():

@@ -136,6 +136,27 @@ def test_propagation_equals_broadcast_means_plus_sample(n, seed, offset, proposa
     _assert_same_stream(lambda rng: transition.sample_model(states, rng), lambda rng: means + noise.sample(rng, n))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 500])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_means_equal_the_row_major_product_bit_for_bit(n, layout):
+    # means computes (A @ x.T).T, which must equal x @ A.T for either layout of x.
+    F, Q = transition_matrix(40.0), process_noise_matrix(40.0, 1e-3)
+    offset = np.array([3.5, -0.3, -7.25, 0.2])
+    states = np.asarray(np.random.default_rng(n).uniform(-2e4, 2e4, (n, 4)), order=layout)
+    expected = np.ascontiguousarray(states) @ F.T + offset
+    np.testing.assert_array_equal(LinearGaussianTransition(F, Q, offset).means(states), expected)
+
+
+def test_bootstrap_states_are_row_major():
+    # The bootstrap estimate w @ states sums in memory order, so its states stay row-major.
+    prior = init_prior(0.1, (2.0, 1.0), DEG)
+    F, Q = transition_matrix(40.0), process_noise_matrix(40.0, 1e-3)
+    ps = standard_pf_init(prior, 50, np.random.default_rng(0))
+    assert ps.states.flags.c_contiguous
+    moved = LinearGaussianTransition(F, Q).sample_model(np.asfortranarray(ps.states), np.random.default_rng(1))
+    assert moved.flags.c_contiguous
+
+
 def test_init_rejects_zero_particles():
     with pytest.raises(ValueError):
         possibility_pf_init(GaussianPossibility([0.0], [[1.0]]), 0, np.random.default_rng(0))

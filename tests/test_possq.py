@@ -7,6 +7,7 @@ relies on).
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from posspf import possq
 from posspf.possq import (
     DiscreteWaterPour,
     EmptyInput,
@@ -260,6 +262,15 @@ def test_sampler_mean_symmetric_2d():
     samples = poured.sample(rng, n)
     se = samples.std(axis=0) / math.sqrt(n)
     assert np.all(np.abs(samples.mean(axis=0) - pi.mean) < 4 * se)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 500])
+def test_deviation_equals_the_row_major_product_bit_for_bit(n):
+    # deviation computes (L @ g.T).T, which must equal g @ L.T on the same draws.
+    spread = np.array([[4.0, 1.0, 0.5, 0.0], [1.0, 3.0, 0.0, 0.2], [0.5, 0.0, 2.0, 0.1], [0.0, 0.2, 0.1, 1.5]])
+    pi = GaussianPossibility(np.zeros(4), 1e4 * spread)
+    expected = np.random.default_rng(n).standard_normal((n, 4)) @ pi.chol.T
+    np.testing.assert_array_equal(pi.deviation(np.random.default_rng(n), n), expected)
 
 
 def test_sample_water_poured_function_shape():
@@ -525,7 +536,9 @@ def test_sample_discrete_equals_unsorted_search(weights, unit_pos, tops, lows, o
     if on_cells:
         # Uniforms exactly on cell boundaries exercise side="right".
         u = np.concatenate((u, cum[cum < 1.0], [0.0]))
-    idx = sample_discrete(pour, FixedUniforms(u), u.shape[0])
+    # Every count takes the sorted search here, the path that ties can break.
+    with mock.patch.object(possq, "_SORTED_SEARCH_MIN", 0):
+        idx = sample_discrete(pour, FixedUniforms(u), u.shape[0])
     expected = np.searchsorted(cum, u, side="right")
     assert idx.dtype == expected.dtype
     assert np.array_equal(idx, expected)

@@ -18,7 +18,6 @@ from posspf.tma import (
     bearings_of,
     crlb_curve,
     init_prior,
-    observer_input,
     process_noise_matrix,
     transition_matrix,
     wrap_angle,
@@ -90,29 +89,16 @@ def test_process_noise_rejects_nonpositive_q():
 
 
 # ---------------------------------------------------------------------------
-# observer input
+# observer manoeuvres
 # ---------------------------------------------------------------------------
 
 
-def test_observer_input_zero_for_cv_motion():
-    T = 40.0
-    xo = np.array([100.0, 2.0, -50.0, 1.0])
-    xo_next = transition_matrix(T) @ xo
-    np.testing.assert_allclose(observer_input(xo_next, xo, T), np.zeros(4), atol=1e-12)
-
-
-def test_observer_input_impulsive_velocity_change():
-    T = 40.0
-    xo = np.array([0.0, 2.0, 0.0, 1.0])
-    # Position integrates the old velocity; the new state carries new velocity.
-    xo_next = np.array([2.0 * T, -1.0, 1.0 * T, 3.0])
-    U = observer_input(xo_next, xo, T)
-    np.testing.assert_allclose(U, [0.0, -3.0, 0.0, 2.0], atol=1e-12)
-
-
-def test_observer_input_canonical_turn_is_velocity_only():
+def test_canonical_observer_turns_change_velocity_only():
+    # The observer's move beyond constant velocity, obs[k] - F @ obs[k-1],
+    # is what run_single takes off the relative state's transition.
     scenario = build_canonical_scenario()
     obs = scenario.observer
+    F = transition_matrix(scenario.T)
     turns = [
         k
         for k in range(1, scenario.scan_count)
@@ -120,7 +106,7 @@ def test_observer_input_canonical_turn_is_velocity_only():
     ]
     assert turns, "canonical scenario must contain a manoeuvre"
     for k in turns:
-        U = observer_input(obs[k], obs[k - 1], scenario.T)
+        U = obs[k] - F @ obs[k - 1]
         np.testing.assert_allclose(U[[0, 2]], [0.0, 0.0], atol=1e-9)
         assert np.linalg.norm(U[[1, 3]]) > 0
 
@@ -189,8 +175,8 @@ def test_transition_possibility_canonical_second_scan():
     rel = track - scenario.observer
     F = transition_matrix(scenario.T)
     Q = process_noise_matrix(scenario.T, scenario.q)
-    U = observer_input(scenario.observer[1], scenario.observer[0], scenario.T)
-    predicted = LinearGaussianTransition(F, Q, -U).means(rel[:1])[0]
+    offset = F @ scenario.observer[0] - scenario.observer[1]
+    predicted = LinearGaussianTransition(F, Q, offset).means(rel[:1])[0]
     np.testing.assert_allclose(predicted, rel[1], atol=1e-9)
 
 
