@@ -136,7 +136,11 @@ class Scenario:
             raise ValueError("process noise intensity must be nonnegative and finite")
         if not 0 < self.filter_sigma < math.inf:
             raise ValueError("filter sigma must be positive and finite")
-        if not np.all(np.isfinite(self.target_init)):
+        target = np.asarray(self.target_init, dtype=float)
+        object.__setattr__(self, "target_init", target)
+        if target.shape != (4,):
+            raise ValueError(f"target initial state must have shape (4,), got {target.shape}")
+        if not np.all(np.isfinite(target)):
             raise ValueError("target initial state must be finite")
         velocities = obs[:, [1, 3]]
         if np.allclose(velocities, velocities[0]):

@@ -166,68 +166,40 @@ class DiscreteWaterPour:
     pmf: np.ndarray
 
 
-def _clip_mass(lam: float, pi: GaussianPossibility, unit_ball_vol: float) -> float:
-    """Integral of min(pi, lam): plateau slab plus Gaussian-shaped tail."""
-    if lam >= 1.0:
-        return pi.total_mass
-    # Local import: scipy is needed only by the max-entropy proposal.
-    from scipy.special import chdtrc
-
-    r_sq = -2.0 * math.log(lam)
-    d = pi.dim
-    plateau = lam * unit_ball_vol * r_sq ** (d / 2.0) * pi.sqrt_det
-    tail = pi.total_mass * chdtrc(d, r_sq)
-    return plateau + tail
-
-
 def water_pour_continuous(pi: GaussianPossibility) -> WaterPouredDensity:
     """Clip a Gaussian possibility at the level whose clipped mass is one.
 
-    The clip level is found by bisection on the closed-form mass
-    M(lambda) = lambda * V_d * r^d * sqrt(det P) + total * Pr[chi2_d > r^2],
-    r = sqrt(-2 ln lambda), which is continuous and strictly increasing.
+    With u = -ln(lambda), r^2 = 2u and Q(a, u) the regularised upper
+    incomplete gamma function, the clipped mass is the plateau
+    lambda * V_d * r^d * sqrt(det P) = total * u^(d/2) e^(-u) / Gamma(d/2 + 1)
+    plus the tail total * Q(d/2, u).  By the recurrence of Q they sum to
+    M(lambda) = total * Q(d/2 + 1, u), so the level is closed-form for any
+    finite total mass: u = Q^-1(d/2 + 1, 1/total).  The plateau mass is
+    1 - total * Q(d/2, u), one minus the tail.
 
     Raises
     ------
     TooConcentrated
         If the possibility function integrates to less than 1, in which
         case no dominated probability density exists.
+    ValueError
+        If the total mass is not finite (the spread overflows).
     """
     total = pi.total_mass
+    if not math.isfinite(total):
+        raise ValueError(f"possibility mass {total} is not finite: the spread is too wide to water-pour")
     if total < 1.0 - 1e-9:
         raise TooConcentrated(
             f"possibility mass {total:.6g} < 1; no dominated density integrates to 1. "
             "Rescale the state units so (2*pi)^(d/2)*sqrt(det P) >= 1."
         )
-    if total <= 1.0:
-        # Boundary: the possibility function itself integrates to one.
-        return WaterPouredDensity(pi, level=1.0, plateau_radius=0.0, plateau_mass=0.0)
+    # Local import: scipy is needed only by the max-entropy proposal.
+    from scipy.special import gammaincc, gammainccinv
 
-    d = pi.dim
-    unit_ball_vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-    lo, hi = 1e-300, 1.0
-    m_lo = _clip_mass(lo, pi, unit_ball_vol)
-    m_hi = _clip_mass(hi, pi, unit_ball_vol)
-    assert m_lo < 1.0 <= m_hi, "clip mass must bracket 1 (monotone in the level)"
-    lam = hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m_mid = _clip_mass(mid, pi, unit_ball_vol)
-        # Strict monotonicity of M(lambda) keeps the bracket valid.
-        assert m_lo <= m_mid <= m_hi + 1e-9
-        if abs(m_mid - 1.0) <= 1e-12:
-            lam = mid
-            break
-        if m_mid < 1.0:
-            lo, m_lo = mid, m_mid
-        else:
-            hi, m_hi = mid, m_mid
-        lam = 0.5 * (lo + hi)
-
-    r = math.sqrt(max(-2.0 * math.log(lam), 0.0))
-    plateau_mass = lam * unit_ball_vol * r**d * pi.sqrt_det
-    return WaterPouredDensity(pi, level=lam, plateau_radius=r, plateau_mass=min(plateau_mass, 1.0))
+    half_d = pi.dim / 2.0
+    u = float(gammainccinv(half_d + 1.0, min(1.0 / total, 1.0)))
+    plateau_mass = 1.0 - total * float(gammaincc(half_d, u)) if u > 0.0 else 0.0
+    return WaterPouredDensity(pi, level=math.exp(-u), plateau_radius=math.sqrt(2.0 * u), plateau_mass=plateau_mass)
 
 
 def water_pour_discrete(weights) -> DiscreteWaterPour:

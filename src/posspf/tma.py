@@ -102,6 +102,10 @@ class PriorConfig:
     covariance_form: str = "consistent"
 
     def __post_init__(self):
+        vel_sigma = np.asarray(self.vel_sigma, dtype=float)
+        if vel_sigma.shape != (2,):
+            raise ValueError(f"vel_sigma must hold exactly two values (x, y), got shape {vel_sigma.shape}")
+        object.__setattr__(self, "vel_sigma", tuple(vel_sigma.tolist()))
         if not all(0 < v < np.inf for v in (self.range_mean, self.range_sigma, *self.vel_sigma)):
             raise ValueError("prior scale parameters must be positive and finite")
         if self.covariance_form not in ("consistent", "swapped"):

@@ -85,6 +85,18 @@ def test_scenario_rejects_non_finite_observer():
         dataclasses.replace(s, observer=observer)
 
 
+@pytest.mark.parametrize("target_init", [np.zeros(3), np.zeros((1, 4)), np.zeros(5)])
+def test_scenario_rejects_target_init_shapes(target_init):
+    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+        dataclasses.replace(build_canonical_scenario(), target_init=target_init)
+
+
+def test_scenario_stores_target_init_as_a_float_array():
+    s = dataclasses.replace(build_canonical_scenario(), target_init=[0, 1, 10000, -2])
+    assert s.target_init.dtype == np.float64
+    np.testing.assert_array_equal(s.target_init, [0.0, 1.0, 1e4, -2.0])
+
+
 def test_scenario_rejects_inconsistent_observer_positions():
     states = np.zeros((3, 4))
     states[:, 1] = 2.0  # vx = 2 but positions never move

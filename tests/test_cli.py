@@ -458,10 +458,16 @@ FUZZ_OVERRIDES = st.dictionaries(st.sampled_from(sorted(FUZZED_KEYS)), st.none()
 )
 TINY = ["experiment.runs=2", "filter.particles=50", "scenario.scans=12", "scenario.observer_leg_scans=3",
         "experiment.parallelism=1", "experiment.n_grid=50", "experiment.nu_grid=3"]
-# The documented runtime failures (README, exit codes).  The last one is a
-# prior or process-noise spread that is singular in floating point: it
-# depends on several keys and, for the prior, on the first measured bearing.
-RUNTIME_FAILURES = ("position bound is not finite at scan", "runs diverged", "spread matrix is not positive definite")
+# The documented runtime failures (README, exit codes).  The last two are a
+# prior or process-noise spread that is singular in floating point, and a
+# spread whose mass overflows when max-entropy water-pours it: they depend on
+# several keys and, for the prior, on the first measured bearing.
+RUNTIME_FAILURES = (
+    "position bound is not finite at scan",
+    "runs diverged",
+    "spread matrix is not positive definite",
+    "the spread is too wide to water-pour",
+)
 FOUND_CASES = [
     ("scenario.sample_time_s", "inf"),
     ("scenario.target_speed_kn", "-1"),
@@ -494,6 +500,7 @@ def assert_finite_cells(out):
 @example(command="run", overrides={"scenario.observer_speed_kn": "1e+300"})
 @example(command="table1", overrides={"filter.sigma_deg": "5e-324"})
 @example(command="crlb", overrides={"scenario.target_range_km": "1e+306"})
+@example(command="run", overrides={"filter.proposal": "max-entropy", "scenario.process_noise": "1e300"})
 def test_no_command_exits_0_with_a_non_finite_cell(command, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"

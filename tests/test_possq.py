@@ -136,14 +136,43 @@ def test_too_concentrated_raises_with_unit_advice():
         water_pour_continuous(GaussianPossibility([0.0], [[0.01]]))
 
 
-def test_clip_mass_is_strictly_increasing_in_level():
-    pi = GaussianPossibility([0.0, 0.0], np.diag([3.0, 2.0]))
-    from posspf.possq import _clip_mass
+def clip_mass(level: float, pi: GaussianPossibility) -> float:
+    """Integral of min(pi, level): the plateau slab plus the Gaussian-shaped tail.
 
-    vol = math.pi
-    levels = np.linspace(1e-6, 1.0, 50)
-    masses = [_clip_mass(lam, pi, vol) for lam in levels]
-    assert np.all(np.diff(masses) > 0)
+    The plateau is level * V_d * r^d * sqrt(det P) with r^2 = -2 ln(level),
+    the tail total * Pr[chi2_d > r^2]; the library sums them in closed form.
+    """
+    if level >= 1.0:
+        return pi.total_mass
+    d = pi.dim
+    r_sq = -2.0 * math.log(level)
+    unit_ball_vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    return level * unit_ball_vol * r_sq ** (d / 2.0) * pi.sqrt_det + pi.total_mass * special.chdtrc(d, r_sq)
+
+
+def isotropic_with_mass(d: int, total: float) -> GaussianPossibility:
+    """The d-dimensional possibility c * I whose total mass is ``total``."""
+    c = (total / (2.0 * math.pi) ** (d / 2.0)) ** (2.0 / d)
+    return GaussianPossibility(np.zeros(d), np.eye(d) * c)
+
+
+@pytest.mark.parametrize("d, top", [(1, 150), (2, 300), (3, 300), (4, 300)])
+def test_water_level_clips_to_unit_mass_by_the_plateau_plus_tail_formula(d, top):
+    # d = 1 stops at 1e150: a larger 1-D mass needs a spread that overflows.
+    for total in [10.0**e for e in range(top + 1)] + [1.0 + 1e-12, 2.5, 3.7e48, 1.3e56, 1.7e60]:
+        pi = isotropic_with_mass(d, total)
+        poured = water_pour_continuous(pi)
+        tail = pi.total_mass * special.chdtrc(d, poured.plateau_radius**2)
+        assert abs(clip_mass(poured.level, pi) - 1.0) <= 1e-12, total
+        assert abs(poured.plateau_mass + tail - 1.0) <= 1e-12, total
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the determinant overflows
+def test_water_level_of_a_non_finite_mass_raises_value_error():
+    pi = GaussianPossibility(np.zeros(4), np.eye(4) * 1e160)
+    assert pi.total_mass == math.inf
+    with pytest.raises(ValueError, match="mass inf is not finite"):
+        water_pour_continuous(pi)
 
 
 @settings(max_examples=25, deadline=None)
@@ -187,8 +216,7 @@ def test_chdtrc_is_the_chi2_survival_function_bit_for_bit(d, x):
     """possq calls scipy.special.chdtrc, the function scipy.stats.chi2.sf calls.
 
     The one known difference is x < 0: chdtrc gives nan and stats gives 1.
-    possq never reaches it: ``_clip_mass`` returns early for levels >= 1,
-    so its squared radius is positive, and the plateau radius is >= 0.
+    possq never reaches it: the plateau radius is sqrt(2u) with u >= 0.
     """
     assert same_bits(special.chdtrc(d, x), stats.chi2.sf(x, d))
 

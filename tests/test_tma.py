@@ -301,6 +301,18 @@ def test_init_prior_rejects_non_finite_scales(scale):
         init_prior(0.0, (0.0, 7.5), sigma, PriorConfig(**fields))
 
 
+@pytest.mark.parametrize("vel_sigma", [(2.6,), (2.6, 2.6, 2.6), ((2.6, 2.6),), 2.6])
+def test_prior_config_requires_exactly_two_velocity_sigmas(vel_sigma):
+    with pytest.raises(ValueError, match="exactly two"):
+        PriorConfig(vel_sigma=vel_sigma)
+
+
+def test_prior_config_stores_velocity_sigmas_as_floats():
+    prior = PriorConfig(vel_sigma=np.array([1, 3]))
+    assert prior.vel_sigma == (1.0, 3.0)
+    assert all(type(v) is float for v in prior.vel_sigma)
+
+
 def test_prior_config_rejects_unknown_covariance_form():
     with pytest.raises(ValueError, match="covariance form"):
         PriorConfig(covariance_form="diagonal")
