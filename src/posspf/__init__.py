@@ -3,13 +3,8 @@
 __version__ = "0.1.0"
 
 from .possq import (
-    DiscreteWaterPour,
-    EmptyInput,
     GaussianPossibility,
-    NoUnitWeight,
-    TooConcentrated,
     WaterPouredDensity,
-    WeightsOutOfRange,
     sample_discrete,
     water_pour_continuous,
     water_pour_discrete,
@@ -27,7 +22,6 @@ from .filters import (
     systematic_resample,
 )
 from .tma import (
-    AtOrigin,
     CrlbResult,
     PriorConfig,
     bearing_log_likelihood,

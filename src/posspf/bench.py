@@ -175,12 +175,18 @@ def build_canonical_scenario(
     140, and the observer zigzags at 7.5 m/s between headings 70 and 340
     every 10 scans.  ``noise_nu = inf`` is Gaussian bearing noise.
     """
+    # Checked before the track is built, where a non-finite value would
+    # reach numpy arithmetic ahead of Scenario's own checks.
+    if not 0 < T < math.inf:
+        raise ValueError("sampling interval must be positive and finite")
     if not 0 < initial_range_m < math.inf:
         raise ValueError("initial range must be positive and finite")
     if observer_leg_scans < 1:
         raise ValueError("observer_leg_scans must be at least 1")
-    if observer_speed < 0 or target_speed < 0:
-        raise ValueError("speeds must be nonnegative")
+    if not (0 <= observer_speed < math.inf and 0 <= target_speed < math.inf):
+        raise ValueError("speeds must be nonnegative and finite")
+    if not all(map(math.isfinite, (initial_bearing_deg, target_heading_deg, *observer_headings_deg))):
+        raise ValueError("headings and the initial bearing must be finite")
     if len(observer_headings_deg) < 2:
         raise ValueError("observer needs at least two legs to manoeuvre")
 

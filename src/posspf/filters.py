@@ -206,8 +206,8 @@ def possibility_pf_resample(
     rng: np.random.Generator,
 ) -> ParticleSet:
     """Water-poured resampling; carries the resampled weights, max renormalised to 1."""
-    pour = water_pour_discrete(norm_weights)
-    idx = sample_discrete(pour, rng, predicted.shape[0])
+    pmf = water_pour_discrete(norm_weights)
+    idx = sample_discrete(pmf, rng, predicted.shape[0])
     carried = norm_weights.take(idx)
     carried /= carried.max()
     # Gathered along the contiguous rows of predicted.T: the set stays

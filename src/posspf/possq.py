@@ -21,27 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class TooConcentrated(ValueError):
-    """The possibility function encloses less than unit mass.
-
-    No probability density dominated by it can integrate to one.  Raised
-    by :func:`water_pour_continuous`; rescale the state units (or widen
-    the spread) so that (2*pi)^(d/2) * sqrt(det P) >= 1.
-    """
-
-
-class EmptyInput(ValueError):
-    """An operation received an empty weight vector."""
-
-
-class WeightsOutOfRange(ValueError):
-    """Weights must lie in [0, 1]."""
-
-
-class NoUnitWeight(ValueError):
-    """The maximum weight must be exactly 1 and the weights must sum to at least 1."""
-
-
 class GaussianPossibility:
     """Gaussian-shaped possibility function with peak value 1 at its mean.
 
@@ -54,7 +33,7 @@ class GaussianPossibility:
         covariance).  Checked by Cholesky factorisation at construction.
     """
 
-    __slots__ = ("mean", "spread", "chol", "sqrt_det")
+    __slots__ = ("mean", "spread", "chol")
 
     def __init__(self, mean, spread):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
@@ -68,7 +47,6 @@ class GaussianPossibility:
             self.chol = np.linalg.cholesky(self.spread)
         except np.linalg.LinAlgError as exc:
             raise ValueError("spread matrix is not positive definite") from exc
-        self.sqrt_det = float(np.prod(np.diag(self.chol)))
 
     @property
     def dim(self) -> int:
@@ -76,20 +54,20 @@ class GaussianPossibility:
 
     @property
     def total_mass(self) -> float:
-        """Integral of the possibility function over the whole space."""
-        return (2.0 * math.pi) ** (self.dim / 2.0) * self.sqrt_det
+        """Integral of the possibility function, (2*pi)^(d/2) * sqrt(det P); inf if that overflows."""
+        with np.errstate(over="ignore"):
+            return (2.0 * math.pi) ** (self.dim / 2.0) * float(np.prod(np.diag(self.chol)))
 
-    def mahalanobis_sq(self, x) -> np.ndarray:
-        """Squared Mahalanobis distances of the rows of x, shape (n,), from the mean."""
+    def log_eval(self, x) -> np.ndarray:
+        """Log possibility values of the rows of x, shape (n,), 0 exactly at the mean.
+
+        Each is -0.5 times the squared Mahalanobis distance from the mean.
+        """
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"expected points of dimension {self.dim}, got {pts.shape[1]}")
         dev = np.linalg.solve(self.chol, (pts - self.mean).T)
-        return np.einsum("ij,ij->j", dev, dev)
-
-    def log_eval(self, x) -> np.ndarray:
-        """Log possibility values, -0.5 * mahalanobis_sq; 0 exactly at the mean."""
-        return -0.5 * self.mahalanobis_sq(x)
+        return -0.5 * np.einsum("ij,ij->j", dev, dev)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` points from the Gaussian density of this shape, shape (size, d)."""
@@ -154,18 +132,6 @@ class WaterPouredDensity:
         return (self.source.chol @ (radii[:, None] * directions).T).T
 
 
-@dataclass(frozen=True)
-class DiscreteWaterPour:
-    """Max-entropy pmf dominated by a discrete weight vector.
-
-    ``pmf[j] = min(weights[j], level)`` with the level chosen so the pmf
-    sums to one.  Support equals the support of the input weights.
-    """
-
-    level: float
-    pmf: np.ndarray
-
-
 def water_pour_continuous(pi: GaussianPossibility) -> WaterPouredDensity:
     """Clip a Gaussian possibility at the level whose clipped mass is one.
 
@@ -179,17 +145,16 @@ def water_pour_continuous(pi: GaussianPossibility) -> WaterPouredDensity:
 
     Raises
     ------
-    TooConcentrated
-        If the possibility function integrates to less than 1, in which
-        case no dominated probability density exists.
     ValueError
-        If the total mass is not finite (the spread overflows).
+        If the possibility function integrates to less than 1, in which
+        case no dominated probability density exists (rescale the state
+        units), or if the total mass is not finite (the spread overflows).
     """
     total = pi.total_mass
     if not math.isfinite(total):
         raise ValueError(f"possibility mass {total} is not finite: the spread is too wide to water-pour")
     if total < 1.0 - 1e-9:
-        raise TooConcentrated(
+        raise ValueError(
             f"possibility mass {total:.6g} < 1; no dominated density integrates to 1. "
             "Rescale the state units so (2*pi)^(d/2)*sqrt(det P) >= 1."
         )
@@ -202,8 +167,8 @@ def water_pour_continuous(pi: GaussianPossibility) -> WaterPouredDensity:
     return WaterPouredDensity(pi, level=math.exp(-u), plateau_radius=math.sqrt(2.0 * u), plateau_mass=plateau_mass)
 
 
-def water_pour_discrete(weights) -> DiscreteWaterPour:
-    """Exact discrete water pouring: pmf[j] = min(w[j], level), sum = 1.
+def water_pour_discrete(weights) -> np.ndarray:
+    """Exact discrete water pouring: the pmf min(w[j], level), which sums to 1.
 
     The level solves sum_j min(w_j, level) = 1.  With the weights sorted
     ascending (ws) and prefix sums prefix[i] = ws[0] + ... + ws[i-1], the
@@ -214,22 +179,24 @@ def water_pour_discrete(weights) -> DiscreteWaterPour:
     (n - i) * ws[i] + prefix[i] = sum_j min(w_j, ws[i]) grows with i, so
     the first passing candidate also lies above the segment below it.
     This is the unique maximum-entropy pmf under the constraints
-    sum(p) = 1 and p <= w.
+    sum(p) = 1 and p <= w.  With a top weight of exactly 1 the level is
+    the pmf's maximum.
 
     Weights must lie in [0, 1] with max exactly 1 (zero weights are kept at
     zero in the pmf, preserving equal support).  Weights whose sum falls
-    short of 1 admit no dominated pmf and raise :class:`NoUnitWeight`.
+    short of 1 admit no dominated pmf; that and any other invalid weight
+    vector raise ``ValueError``.
     """
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     n = w.shape[0]
     if n == 0:
-        raise EmptyInput("weight vector is empty")
+        raise ValueError("weight vector is empty")
     ws = np.sort(w)  # NaNs sort last
     top = ws[-1]
     if not (ws[0] >= 0.0 and top <= 1.0):  # NaN fails both comparisons
-        raise WeightsOutOfRange("weights must be finite and within [0, 1]")
+        raise ValueError("weights must be finite and within [0, 1]")
     if abs(top - 1.0) > 1e-12:
-        raise NoUnitWeight(f"max weight must be exactly 1, got {top!r}")
+        raise ValueError(f"max weight must be exactly 1, got {top!r}")
 
     cum = np.cumsum(ws)  # prefix[i + 1]
     cand = np.empty(n)
@@ -239,12 +206,10 @@ def water_pour_discrete(weights) -> DiscreteWaterPour:
     fits = cand <= ws + 1e-15
     i = int(np.argmax(fits))
     if not fits[i]:
-        raise NoUnitWeight(
+        raise ValueError(
             f"weights sum to {cum[-1]:.17g}, less than 1; no pmf dominated by them sums to 1"
         )
-    level = cand[i]
-    pmf = np.minimum(w, level)
-    return DiscreteWaterPour(level=float(level), pmf=pmf)
+    return np.minimum(w, cand[i])
 
 
 # Fewer uniforms than this are searched as drawn: sorting them costs more
@@ -252,7 +217,7 @@ def water_pour_discrete(weights) -> DiscreteWaterPour:
 _SORTED_SEARCH_MIN = 768
 
 
-def sample_discrete(pour: DiscreteWaterPour, rng: np.random.Generator, count: int) -> np.ndarray:
+def sample_discrete(pmf: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
     """Inverse-CDF categorical sampling: ``count`` independent indices.
 
     Draws ``count`` uniforms in one call.  From ``_SORTED_SEARCH_MIN``
@@ -262,7 +227,7 @@ def sample_discrete(pour: DiscreteWaterPour, rng: np.random.Generator, count: in
     position.  Indices and random stream are those of searching the
     unsorted uniforms.
     """
-    cum = np.cumsum(pour.pmf)
+    cum = np.cumsum(pmf)
     cum[-1] = 1.0  # guard against rounding in the last cell
     u = rng.random(int(count))
     if u.shape[0] < _SORTED_SEARCH_MIN:

@@ -18,10 +18,6 @@ import numpy as np
 from .possq import GaussianPossibility
 
 
-class AtOrigin(ValueError):
-    """Bearing is undefined at zero horizontal range."""
-
-
 def wrap_angle(angle):
     """Wrap angles into (-pi, pi]."""
     a = np.asarray(angle, dtype=float)
@@ -58,7 +54,7 @@ def bearings_of(states: np.ndarray) -> np.ndarray:
     x, y = states[:, 0], states[:, 2]
     # x.all() is the cheaper test and almost always passes on its own.
     if not x.all() and np.any((x == 0.0) & (y == 0.0)):
-        raise AtOrigin("bearing undefined at zero range")
+        raise ValueError("bearing undefined at zero range")
     beta = np.arctan2(x, y)
     # atan2(-0.0, y < 0) is -pi; report the seam as +pi, as wrap_angle does.
     beta[beta == -np.pi] = np.pi
@@ -155,7 +151,7 @@ def bearing_jacobian(rel_state: np.ndarray) -> np.ndarray:
     x, y = rel_state[0], rel_state[2]
     r_sq = x * x + y * y
     if r_sq == 0.0:
-        raise AtOrigin("bearing gradient undefined at zero range")
+        raise ValueError("bearing gradient undefined at zero range")
     return np.array([y / r_sq, 0.0, -x / r_sq, 0.0])
 
 

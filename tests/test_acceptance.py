@@ -86,7 +86,7 @@ def test_criterion_1_discrete_oracle_equivalence():
         size = int(rng.integers(1, 7))
         w = rng.uniform(1e-4, 1.0, size)
         w[rng.integers(0, size)] = 1.0
-        pmf = water_pour_discrete(w).pmf
+        pmf = water_pour_discrete(w)
         oracle = np.minimum(w, _level_by_bisection(w))
         worst_bisect = max(worst_bisect, float(np.abs(pmf - oracle).max()))
         worst_maxent = max(worst_maxent, float(np.abs(pmf - _maxent_pmf(w)).max()))

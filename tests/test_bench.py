@@ -4,6 +4,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -242,8 +243,10 @@ def test_nan_first_bearing_makes_a_divergent_run_not_a_crash():
     ],
 )
 def test_non_finite_scenario_values_rejected(override):
-    with pytest.raises(ValueError):
-        build_canonical_scenario(**override)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError):
+            build_canonical_scenario(**override)
 
 
 def test_report_metadata_fields():

@@ -6,7 +6,9 @@ import hashlib
 import importlib
 import io
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -215,14 +217,22 @@ def test_readme_ini_example_loads(tmp_path):
     assert load_config(str(path)).runs() == 500
 
 
+def run_python(*args, timeout=120):
+    """Run ``python *args`` in a fresh interpreter that imports this checkout's ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
+
+
 def test_readme_python_example_imports_exist():
-    """Every name the library example imports exists; the block is not run (its batch takes seconds)."""
+    """Every name the library example imports exists, and the block runs in a fresh interpreter."""
     (block,) = readme_blocks("python")
     imports = [node for node in ast.walk(ast.parse(block)) if isinstance(node, ast.ImportFrom)]
     names = [(node.module, alias.name) for node in imports if node.module.split(".")[0] == "posspf" for alias in node.names]
     assert names
     for module, name in names:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    done = run_python("-c", block)
+    assert done.returncode == 0, done.stderr
 
 
 def test_help_lists_every_command_with_its_help(capsys):
@@ -521,6 +531,19 @@ def test_no_command_exits_0_with_a_non_finite_cell(command, overrides):
             assert re.search(r"\[(scenario|filter|experiment|output)\] [a-z_]+", err), err
             assert any(key.split(".")[1] in err for key in overrides), err
             assert not out.exists(), err
+
+
+def test_overflowing_max_entropy_mass_prints_only_the_error_line(tmp_path):
+    """No numpy warning reaches stderr ahead of the documented message."""
+    args = ["run", "--set", f"output.directory={tmp_path / 'out'}", "--set", "filter.proposal=max-entropy",
+            "--set", "scenario.process_noise=1e300"]
+    for item in TINY:
+        args += ["--set", item]
+    done = run_python("-W", "default", "-c", "import sys; from posspf.cli import main; sys.exit(main(sys.argv[1:]))", *args)
+    assert done.returncode == 1
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: possibility mass inf is not finite: "), done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "table1", "crlb"])

@@ -2,7 +2,9 @@
 
 Importing scipy costs more than the rest of a run's set-up together, and
 every Monte Carlo batch starts in a fresh process.  Only the max-entropy
-proposal needs it, for two chi-square functions from ``scipy.special``.
+proposal needs it, for four functions from ``scipy.special``: ``chdtrc``
+and ``chdtri`` in its sampler, ``gammaincc`` and ``gammainccinv`` for its
+water level.
 Each check runs in a fresh interpreter, because this test process has
 long since imported scipy through other tests.
 """

@@ -11,7 +11,6 @@ from posspf.bench import build_canonical_scenario, nominal_target_track
 from posspf.filters import LinearGaussianTransition
 from posspf.possq import GaussianPossibility
 from posspf.tma import (
-    AtOrigin,
     PriorConfig,
     bearing_jacobian,
     bearing_log_likelihood,
@@ -129,7 +128,7 @@ def test_bearing_third_quadrant():
 
 
 def test_bearing_at_origin_raises():
-    with pytest.raises(AtOrigin):
+    with pytest.raises(ValueError, match="bearing undefined at zero range"):
         _bearing([0.0, 0.0, 0.0, 0.0])
 
 
