@@ -309,7 +309,8 @@ def run_single(
     except AllWeightsZero:
         collapsed = True
 
-    pos_errors = np.linalg.norm(track - rel[:, [0, 2]], axis=1)
+    with np.errstate(over="ignore"):  # an error too large to square is inf: divergent
+        pos_errors = np.linalg.norm(track - rel[:, [0, 2]], axis=1)
     if collapsed:
         pos_errors = np.where(np.isnan(pos_errors), np.inf, pos_errors)
     return RunReport(

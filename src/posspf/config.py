@@ -112,7 +112,6 @@ KEYS: dict[str, dict[str, Key]] = {
         "range_prior_km":          Key("10.0", "a number", POSITIVE),
         "range_prior_sigma_km":    Key("3.5", "a number", POSITIVE),
         "velocity_prior_sigma_kn": Key("5.0540", "a number", POSITIVE),    # 2.6 m/s
-        "init_covariance":         Key("consistent", "text", one_of("consistent", "swapped")),
         "proposal":                Key("density", "text", one_of("density", "max-entropy")),
         "transition_weighting":    Key("ignorance", "text", one_of("ignorance", "gaussian")),
         "proposal_inflation":      Key("1.5", "a number", POSITIVE),
@@ -199,7 +198,6 @@ class Config:
             range_mean=self._si("filter", "range_prior_km", 1e3),
             range_sigma=self._si("filter", "range_prior_sigma_km", 1e3),
             vel_sigma=(v, v),
-            covariance_form=self.parsed["filter"]["init_covariance"],
         )
 
     def filter_options(self) -> PossibilityPFOptions:
@@ -220,14 +218,15 @@ class Config:
     def hash(self) -> str:
         """Stable digest of the experiment configuration, for CSV headers.
 
-        Output location is excluded: the same experiment written to two
-        directories is the same experiment.
+        Output location and parallelism are excluded: neither changes a
+        result.
         """
         canon = "\n".join(
             f"{section}.{key}={self.values[section][key].strip()}"
             for section in sorted(self.values)
             if section != "output"
             for key in sorted(self.values[section])
+            if (section, key) != ("experiment", "parallelism")
         )
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 

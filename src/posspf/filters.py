@@ -174,9 +174,12 @@ def peak_set_representative(states: np.ndarray, norm_log_weights: np.ndarray, cu
     wsub = np.exp(norm_log_weights.take(selected))
     barycentre = (wsub[:, None] * sub).sum(axis=0) / wsub.sum()
     d = sub - barycentre
-    d *= d
-    # What np.linalg.norm(axis=1) computes, without its overhead.
-    return int(selected[np.argmin(np.sqrt(np.add.reduce(d, axis=1)))])
+    # What np.linalg.norm(axis=1) computes, without its overhead.  A distance
+    # too large to square is inf, which the argmin handles.
+    with np.errstate(over="ignore"):
+        d *= d
+        dist = np.sqrt(np.add.reduce(d, axis=1))
+    return int(selected[np.argmin(dist)])
 
 
 def possibility_pf_init(

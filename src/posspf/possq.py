@@ -212,26 +212,18 @@ def water_pour_discrete(weights) -> np.ndarray:
     return np.minimum(w, cand[i])
 
 
-# Fewer uniforms than this are searched as drawn: sorting them costs more
-# than it saves.
-_SORTED_SEARCH_MIN = 768
-
-
 def sample_discrete(pmf: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
     """Inverse-CDF categorical sampling: ``count`` independent indices.
 
-    Draws ``count`` uniforms in one call.  From ``_SORTED_SEARCH_MIN``
-    uniforms on, it searches the cumulative pmf with the uniforms in
-    ascending order of their top 16 bits (each search then starts near the
-    previous result) and scatters each index back to its uniform's
-    position.  Indices and random stream are those of searching the
-    unsorted uniforms.
+    Draws ``count`` uniforms in one call, searches the cumulative pmf with
+    them in ascending order of their top 16 bits (each search then starts
+    near the previous result) and scatters each index back to its
+    uniform's position.  Indices and random stream are those of searching
+    the unsorted uniforms.
     """
     cum = np.cumsum(pmf)
     cum[-1] = 1.0  # guard against rounding in the last cell
     u = rng.random(int(count))
-    if u.shape[0] < _SORTED_SEARCH_MIN:
-        return np.searchsorted(cum, u, side="right")
     # A radix sort on the top 16 bits orders the uniforms well enough for
     # the search to benefit; each search result does not depend on the order.
     order = np.argsort((u * 65536.0).astype(np.uint16), kind="stable")

@@ -21,8 +21,7 @@ from .possq import GaussianPossibility
 def wrap_angle(angle):
     """Wrap angles into (-pi, pi]."""
     a = np.asarray(angle, dtype=float)
-    wrapped = -((-a + np.pi) % (2.0 * np.pi) - np.pi)
-    return float(wrapped) if np.isscalar(angle) or wrapped.ndim == 0 else wrapped
+    return -((-a + np.pi) % (2.0 * np.pi) - np.pi)
 
 
 def transition_matrix(T: float) -> np.ndarray:
@@ -85,17 +84,11 @@ def bearing_log_likelihood(states: np.ndarray, z: float, sigma: float) -> np.nda
 
 @dataclass(frozen=True)
 class PriorConfig:
-    """Parameters of the measurement-based initial prior, in SI units.
-
-    ``covariance_form="consistent"`` orients the range variance along the
-    line of sight; ``"swapped"`` swaps the two position variances while
-    keeping the same cross term.
-    """
+    """Parameters of the measurement-based initial prior, in SI units."""
 
     range_mean: float = 10e3
     range_sigma: float = 3.5e3
     vel_sigma: tuple[float, float] = (2.6, 2.6)
-    covariance_form: str = "consistent"
 
     def __post_init__(self):
         vel_sigma = np.asarray(self.vel_sigma, dtype=float)
@@ -104,8 +97,6 @@ class PriorConfig:
         object.__setattr__(self, "vel_sigma", tuple(vel_sigma.tolist()))
         if not all(0 < v < np.inf for v in (self.range_mean, self.range_sigma, *self.vel_sigma)):
             raise ValueError("prior scale parameters must be positive and finite")
-        if self.covariance_form not in ("consistent", "swapped"):
-            raise ValueError(f"unknown covariance form {self.covariance_form!r}")
 
 
 def init_prior(
@@ -120,7 +111,7 @@ def init_prior(
     bearing, relative velocity equal to minus the observer velocity.  The
     position covariance combines the range variance along the line of sight
     with the cross-range variance (range_mean * sigma)^2, ``sigma`` being the
-    bearing noise scale; see :class:`PriorConfig` for the swapped form.
+    bearing noise scale.
     """
     if not 0 < sigma < np.inf:
         raise ValueError("bearing sigma must be positive and finite")
@@ -132,12 +123,8 @@ def init_prior(
     # raises OverflowError; both call the same pow, so the bits agree.
     range_var = np.float64(prior.range_sigma) ** 2
     cross_var = (prior.range_mean * sigma) ** 2
-    if prior.covariance_form == "consistent":
-        var_x = range_var * s * s + cross_var * c * c
-        var_y = range_var * c * c + cross_var * s * s
-    else:
-        var_x = range_var * c * c + cross_var * s * s
-        var_y = range_var * s * s + cross_var * c * c
+    var_x = range_var * s * s + cross_var * c * c
+    var_y = range_var * c * c + cross_var * s * s
     cov_xy = (range_var - cross_var) * s * c
 
     vx, vy = map(np.float64, prior.vel_sigma)

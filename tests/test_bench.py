@@ -472,7 +472,7 @@ def test_scenario_crlb_raises_naming_the_first_non_finite_scan(recwarn, scenario
 
 def test_scenario_crlb_uses_every_prior_field():
     s = build_canonical_scenario()
-    prior = PriorConfig(range_mean=12e3, range_sigma=2e3, vel_sigma=(1.0, 3.0), covariance_form="swapped")
+    prior = PriorConfig(range_mean=12e3, range_sigma=2e3, vel_sigma=(1.0, 3.0))
     scan1 = scenario_crlb(s, prior).bounds[0]
-    # Due north, the swapped form puts the range variance on x and the cross-range variance on y.
-    np.testing.assert_allclose(np.diag(scan1), [2e3**2, 1.0, (12e3 * s.filter_sigma) ** 2, 9.0], rtol=1e-9)
+    # Due north, the range variance lies on y and the cross-range variance on x.
+    np.testing.assert_allclose(np.diag(scan1), [(12e3 * s.filter_sigma) ** 2, 1.0, 2e3**2, 9.0], rtol=1e-9)

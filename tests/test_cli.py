@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +68,7 @@ def test_config_defaults_are_the_library_defaults_up_to_knot_rounding():
 
     prior, library_prior = cfg.prior(), PriorConfig()
     np.testing.assert_allclose(prior.vel_sigma, library_prior.vel_sigma, rtol=1e-5)
-    assert (prior.range_mean, prior.range_sigma, prior.covariance_form) == (
-        library_prior.range_mean, library_prior.range_sigma, library_prior.covariance_form
-    )
+    assert (prior.range_mean, prior.range_sigma) == (library_prior.range_mean, library_prior.range_sigma)
     assert cfg.filter_options() == PossibilityPFOptions()
 
 
@@ -78,10 +77,18 @@ def test_missing_file_is_config_error(tmp_path):
         load_config(str(tmp_path / "no-such-file.ini"))
 
 
-def test_unknown_key_names_key_and_line(tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[scenario]\nscans = 20\nwarp = 9\n", r"warp.*line 3"),
+        ("[filter]\ninit_covariance = swapped\n", r"^\[filter\] init_covariance \(line 2\): unknown key$"),
+    ],
+    ids=["never-a-key", "removed-key"],
+)
+def test_unknown_key_names_key_and_line(tmp_path, text, message):
     path = tmp_path / "bad.ini"
-    path.write_text("[scenario]\nscans = 20\nwarp = 9\n")
-    with pytest.raises(ConfigError, match=r"warp.*line 3"):
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
         load_config(str(path))
 
 
@@ -108,6 +115,8 @@ def test_override_applies_and_validates():
     assert cfg.runs() == 7
     with pytest.raises(ConfigError, match="unknown override"):
         load_config(None, ["experiment.bogus=1"])
+    with pytest.raises(ConfigError, match="^unknown override key filter.init_covariance$"):
+        load_config(None, ["filter.init_covariance=swapped"])
     with pytest.raises(ConfigError, match="section.key=value"):
         load_config(None, ["nonsense"])
 
@@ -117,6 +126,8 @@ def test_config_hash_tracks_content():
     b = load_config(None, ["experiment.runs=7"])
     assert a.hash() != b.hash()
     assert a.hash() == load_config(None).hash()
+    # Results do not depend on parallelism, so neither does the hash.
+    assert a.hash() == load_config(None, ["experiment.parallelism=2"]).hash()
 
 
 def _perfbench_workloads():
@@ -131,10 +142,10 @@ def _perfbench_workloads():
 # config_hash headers of the defaults and of the benchmark's workloads: the
 # default texts and the hashed form must not move, or every CSV header does.
 PINNED_HASHES = {
-    None: "7877c5b983c8",
-    "mc-poss-n5000": "4b36324f3a14",
-    "mc-std-n5000-t3": "ca0f2cd60409",
-    "grid-n500-par2": "7503ce363b0f",
+    None: "f52c65ba8cf7",
+    "mc-poss-n5000": "81ffc4aa6481",
+    "mc-std-n5000-t3": "81b89a30db45",
+    "grid-n500-par2": "7b8ac912ff6d",
 }
 
 
@@ -188,7 +199,7 @@ def test_every_key_is_checked_even_by_commands_that_do_not_read_it(tmp_path, cap
 
 
 def test_table_has_every_key_once():
-    assert sum(len(rows) for rows in KEYS.values()) == 31
+    assert sum(len(rows) for rows in KEYS.values()) == 30
     cfg = load_config(None)
     assert {s: set(k) for s, k in cfg.values.items()} == {s: set(rows) for s, rows in KEYS.items()}
 
@@ -544,6 +555,20 @@ def test_overflowing_max_entropy_mass_prints_only_the_error_line(tmp_path):
     (line,) = done.stderr.splitlines()
     assert line.startswith("error: possibility mass inf is not finite: "), done.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_process_noise_prints_only_the_error_line(tmp_path):
+    """Distances too large to square are inf, silently: the runs diverge and no numpy warning is raised."""
+    out = tmp_path / "out"
+    args = ["run", "--set", "scenario.process_noise=1e300", "--set", "experiment.runs=2",
+            "--set", "experiment.parallelism=1", "--set", "filter.particles=2000", "--set", f"output.directory={out}"]
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = main(args)
+    assert code == 1
+    assert stderr.getvalue() == "error: all 2 runs diverged; rms.csv not written\n"
+    assert not (out / "rms.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "table1", "crlb"])

@@ -312,11 +312,6 @@ def test_prior_config_stores_velocity_sigmas_as_floats():
     assert all(type(v) is float for v in prior.vel_sigma)
 
 
-def test_prior_config_rejects_unknown_covariance_form():
-    with pytest.raises(ValueError, match="covariance form"):
-        PriorConfig(covariance_form="diagonal")
-
-
 def test_init_prior_due_north_consistent_orientation():
     prior = init_prior(0.0, (2.0, 1.0), DEG)
     np.testing.assert_allclose(prior.mean, [0.0, -2.0, 10e3, -1.0])
@@ -326,19 +321,11 @@ def test_init_prior_due_north_consistent_orientation():
     assert prior.spread[0, 2] == pytest.approx(0.0, abs=1e-6)
 
 
-def test_init_prior_due_north_swapped_form_swaps_axes():
-    prior = init_prior(0.0, (0.0, 0.0), DEG, PriorConfig(covariance_form="swapped"))
-    cross_var = (10e3 * 1.0 * DEG) ** 2
-    assert prior.spread[0, 0] == pytest.approx(3.5e3**2, rel=1e-9)
-    assert prior.spread[2, 2] == pytest.approx(cross_var, rel=1e-9)
-
-
-def test_init_prior_quarter_turn_swaps_both_forms():
-    for form in ("consistent", "swapped"):
-        at_zero = init_prior(0.0, (0.0, 0.0), DEG, PriorConfig(covariance_form=form))
-        at_quarter = init_prior(math.pi / 2, (0.0, 0.0), DEG, PriorConfig(covariance_form=form))
-        assert at_quarter.spread[0, 0] == pytest.approx(at_zero.spread[2, 2], rel=1e-9)
-        assert at_quarter.spread[2, 2] == pytest.approx(at_zero.spread[0, 0], rel=1e-9)
+def test_init_prior_quarter_turn_swaps_axes():
+    at_zero = init_prior(0.0, (0.0, 0.0), DEG)
+    at_quarter = init_prior(math.pi / 2, (0.0, 0.0), DEG)
+    assert at_quarter.spread[0, 0] == pytest.approx(at_zero.spread[2, 2], rel=1e-9)
+    assert at_quarter.spread[2, 2] == pytest.approx(at_zero.spread[0, 0], rel=1e-9)
 
 
 def test_init_prior_orientation_against_polar_monte_carlo():
@@ -356,12 +343,9 @@ def test_init_prior_orientation_against_polar_monte_carlo():
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    z1=st.floats(min_value=-math.pi, max_value=math.pi),
-    form=st.sampled_from(["consistent", "swapped"]),
-)
-def test_init_prior_spread_is_positive_definite(z1, form):
-    prior = init_prior(z1, (1.0, -1.0), DEG, PriorConfig(covariance_form=form))
+@given(z1=st.floats(min_value=-math.pi, max_value=math.pi))
+def test_init_prior_spread_is_positive_definite(z1):
+    prior = init_prior(z1, (1.0, -1.0), DEG)
     np.linalg.cholesky(prior.spread)
 
 
@@ -420,16 +404,14 @@ def crlb_information_form(true_relative, T, q, sigma, prior):
     speed=st.floats(min_value=0.0, max_value=10.0),
     range_m=st.floats(min_value=3e3, max_value=30e3),
     sigma_deg=st.floats(min_value=0.2, max_value=3.0),
-    form=st.sampled_from(["consistent", "swapped"]),
 )
-def test_crlb_covariance_form_equals_information_form(q, bearing, heading, speed, range_m, sigma_deg, form):
+def test_crlb_curve_equals_information_form(q, bearing, heading, speed, range_m, sigma_deg):
     scenario = build_canonical_scenario(
         q=q, initial_bearing_deg=bearing, target_heading_deg=heading, target_speed=speed,
         initial_range_m=range_m, filter_sigma_deg=sigma_deg,
     )
     rel = nominal_target_track(scenario) - scenario.observer
-    prior = init_prior(bearings_of(rel[:1])[0], scenario.observer[0, [1, 3]], scenario.filter_sigma,
-                       PriorConfig(covariance_form=form))
+    prior = init_prior(bearings_of(rel[:1])[0], scenario.observer[0, [1, 3]], scenario.filter_sigma)
     result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
     reference = crlb_information_form(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
     np.testing.assert_allclose(result.position_bound, np.sqrt(reference[:, 0, 0] + reference[:, 2, 2]), rtol=1e-9)
