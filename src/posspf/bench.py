@@ -30,6 +30,7 @@ from .filters import (
     possibility_pf_step,
     standard_pf_init,
     standard_pf_step,
+    whole_count,
 )
 from .possq import GaussianPossibility
 from .tma import (
@@ -181,8 +182,8 @@ def build_canonical_scenario(
         raise ValueError("sampling interval must be positive and finite")
     if not 0 < initial_range_m < math.inf:
         raise ValueError("initial range must be positive and finite")
-    if observer_leg_scans < 1:
-        raise ValueError("observer_leg_scans must be at least 1")
+    scan_count = whole_count("scan_count", scan_count, 2)
+    observer_leg_scans = whole_count("observer_leg_scans", observer_leg_scans)
     if not (0 <= observer_speed < math.inf and 0 <= target_speed < math.inf):
         raise ValueError("speeds must be nonnegative and finite")
     if not all(map(math.isfinite, (initial_bearing_deg, target_heading_deg, *observer_headings_deg))):
@@ -190,7 +191,7 @@ def build_canonical_scenario(
     if len(observer_headings_deg) < 2:
         raise ValueError("observer needs at least two legs to manoeuvre")
 
-    obs = np.zeros((int(scan_count), 4))
+    obs = np.zeros((scan_count, 4))
     pos = np.zeros(2)
     for k in range(len(obs)):
         leg = min(k // observer_leg_scans, len(observer_headings_deg) - 1)
@@ -273,6 +274,7 @@ def run_single(
     """
     if filter_kind not in (FILTER_POSSIBILITY, FILTER_STANDARD):
         raise ValueError(f"unknown filter kind {filter_kind!r}")
+    n = whole_count("n", n)
     rng_world = np.random.default_rng((seed, 0))
     rng_filter = np.random.default_rng((seed, 1))
 
@@ -348,7 +350,7 @@ def _run_single_args(args) -> RunReport:
 
 def _workers(parallelism: int, runs: int) -> int:
     """Worker processes for ``runs`` runs: at most ``parallelism``, one per run and usable core."""
-    return min(parallelism, runs, len(os.sched_getaffinity(0)))
+    return min(whole_count("parallelism", parallelism), runs, len(os.sched_getaffinity(0)))
 
 
 def run_batch(
@@ -371,8 +373,7 @@ def run_batch(
     results do not depend on their number.  When more than one would run,
     the runs go to ``pool``, or to a pool opened and shut down here.
     """
-    if runs < 1:
-        raise ValueError("need at least one run")
+    runs = whole_count("runs", runs)
     arglist = [(scenario, filter_kind, n, base_seed + i, prior, options) for i in range(runs)]
     workers = _workers(parallelism, runs)
     if workers > 1:
@@ -429,11 +430,12 @@ def table1_experiment(
     are paired, not seed noise.  Each cell is one ``run_batch`` call; they
     share one worker pool, which is shut down before this returns or raises.
     """
+    n_grid = [whole_count("n_grid entry", n) for n in n_grid]
+    workers = _workers(parallelism, whole_count("runs", runs))
     cells = []
-    workers = _workers(parallelism, runs)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for filter_kind, n, nu in itertools.product((FILTER_STANDARD, FILTER_POSSIBILITY), n_grid, nu_grid):
-            n, nu = int(n), float(nu)
+            nu = float(nu)
             noisy = dataclasses.replace(scenario, true_noise=NoiseModel(scenario.true_noise.sigma, nu))
             batch = run_batch(noisy, filter_kind, n, runs, base_seed, parallelism, prior, options, pool=pool)
             cells.append(

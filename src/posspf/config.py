@@ -93,9 +93,9 @@ KEYS: dict[str, dict[str, Key]] = {
         "sample_time_s":         Key("40.0", "a number", POSITIVE),
         "target_range_km":       Key("10.0", "a number", POSITIVE),
         "target_bearing_deg":    Key("0.0", "a number", FINITE),
-        "target_speed_kn":       Key("7.7754", "a number", NONNEGATIVE),   # 4.0 m/s
+        "target_speed_kn":       Key("7.775377969762419", "a number", NONNEGATIVE),  # 4.0 m/s
         "target_heading_deg":    Key("140.0", "a number", FINITE),
-        "observer_speed_kn":     Key("14.5788", "a number", NONNEGATIVE),  # 7.5 m/s
+        "observer_speed_kn":     Key("14.578833693304535", "a number", NONNEGATIVE),  # 7.5 m/s
         "observer_headings_deg": Key("70, 340, 70, 340", "comma-separated numbers",
                                      Domain("finite", lambda xs: all(map(math.isfinite, xs)))),
         "observer_leg_scans":    Key("10", "an integer", at_least(1)),
@@ -111,7 +111,7 @@ KEYS: dict[str, dict[str, Key]] = {
         "sigma_deg":               Key("1.0", "a number", POSITIVE),
         "range_prior_km":          Key("10.0", "a number", POSITIVE),
         "range_prior_sigma_km":    Key("3.5", "a number", POSITIVE),
-        "velocity_prior_sigma_kn": Key("5.0540", "a number", POSITIVE),    # 2.6 m/s
+        "velocity_prior_sigma_kn": Key("5.053995680345572", "a number", POSITIVE),  # 2.6 m/s
         "proposal":                Key("density", "text", one_of("density", "max-entropy")),
         "transition_weighting":    Key("ignorance", "text", one_of("ignorance", "gaussian")),
         "proposal_inflation":      Key("1.5", "a number", POSITIVE),
@@ -193,11 +193,10 @@ class Config:
                        "observer_speed_kn, observer_leg_scans, sample_time_s and scans)")
 
     def prior(self) -> PriorConfig:
-        v = self.parsed["filter"]["velocity_prior_sigma_kn"] * KNOT
         return PriorConfig(
             range_mean=self._si("filter", "range_prior_km", 1e3),
             range_sigma=self._si("filter", "range_prior_sigma_km", 1e3),
-            vel_sigma=(v, v),
+            vel_sigma=self.parsed["filter"]["velocity_prior_sigma_kn"] * KNOT,
         )
 
     def filter_options(self) -> PossibilityPFOptions:

@@ -19,6 +19,7 @@ the per-scan peak, so sharply peaked likelihoods cannot underflow.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,18 @@ from .possq import (
 
 class AllWeightsZero(RuntimeError):
     """Every particle weight underflowed to zero; the filter has collapsed."""
+
+
+def whole_count(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int, or a ValueError naming ``name`` unless it is a whole number >= ``minimum``.
+
+    A fractional count is refused, not truncated: a truncated count runs
+    one number and reports another.
+    """
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    if not (whole and value >= minimum):
+        raise ValueError(f"{name} must be a whole number of at least {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -194,8 +207,7 @@ def possibility_pf_init(
     their maximum (max weight exactly 1).  Raises :class:`AllWeightsZero`
     when that maximum is not finite, e.g. for a NaN first bearing.
     """
-    if n < 1:
-        raise ValueError("particle count must be at least 1")
+    n = whole_count("n", n)
     source = water_pour_continuous(prior) if options.proposal == "max-entropy" else prior
     states = source.sample(rng, n)
     log_w = prior.log_eval(states)
@@ -259,8 +271,7 @@ def standard_pf_init(prior: GaussianPossibility, n: int, rng: np.random.Generato
     The samples are row-major, as :meth:`LinearGaussianTransition.sample_model`
     explains.
     """
-    if n < 1:
-        raise ValueError("particle count must be at least 1")
+    n = whole_count("n", n)
     return ParticleSet(np.ascontiguousarray(prior.sample(rng, n)), np.full(n, 1.0 / n))
 
 

@@ -88,14 +88,10 @@ class PriorConfig:
 
     range_mean: float = 10e3
     range_sigma: float = 3.5e3
-    vel_sigma: tuple[float, float] = (2.6, 2.6)
+    vel_sigma: float = 2.6  # per axis
 
     def __post_init__(self):
-        vel_sigma = np.asarray(self.vel_sigma, dtype=float)
-        if vel_sigma.shape != (2,):
-            raise ValueError(f"vel_sigma must hold exactly two values (x, y), got shape {vel_sigma.shape}")
-        object.__setattr__(self, "vel_sigma", tuple(vel_sigma.tolist()))
-        if not all(0 < v < np.inf for v in (self.range_mean, self.range_sigma, *self.vel_sigma)):
+        if not all(0 < v < np.inf for v in (self.range_mean, self.range_sigma, self.vel_sigma)):
             raise ValueError("prior scale parameters must be positive and finite")
 
 
@@ -127,8 +123,8 @@ def init_prior(
     var_y = range_var * c * c + cross_var * s * s
     cov_xy = (range_var - cross_var) * s * c
 
-    vx, vy = map(np.float64, prior.vel_sigma)
-    P = np.diag([var_x, vx**2, var_y, vy**2])
+    vel_var = np.float64(prior.vel_sigma) ** 2
+    P = np.diag([var_x, vel_var, var_y, vel_var])
     P[0, 2] = P[2, 0] = cov_xy
     return GaussianPossibility(mean, P)
 

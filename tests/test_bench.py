@@ -25,7 +25,8 @@ from posspf.bench import (
     table1_experiment,
     wilson_interval,
 )
-from posspf.tma import PriorConfig, bearings_of
+from posspf.filters import possibility_pf_init, standard_pf_init
+from posspf.tma import PriorConfig, bearings_of, init_prior
 
 DEG = math.pi / 180.0
 
@@ -262,6 +263,48 @@ def test_unknown_filter_kind_rejected():
         run_single(s, "ekf", 10, 0)
 
 
+SMALL = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+PRIOR = init_prior(0.0, (0.0, 7.5), DEG)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: run_single(SMALL, FILTER_POSSIBILITY, 20.7, 1), "n"),
+        (lambda: run_single(SMALL, FILTER_STANDARD, np.float64(2.5), 1), "n"),
+        (lambda: run_single(SMALL, FILTER_STANDARD, math.nan, 1), "n"),
+        (lambda: run_single(SMALL, FILTER_STANDARD, "20", 1), "n"),
+        (lambda: standard_pf_init(PRIOR, 2.5, None), "n"),
+        (lambda: possibility_pf_init(PRIOR, 2.5, None), "n"),
+        (lambda: run_batch(SMALL, FILTER_STANDARD, 20, 2.5, 1), "runs"),
+        (lambda: run_batch(SMALL, FILTER_STANDARD, 20, 2, 1, parallelism=1.5), "parallelism"),
+        (lambda: table1_experiment(SMALL, [20.7], [3], 2, 1), "n_grid entry"),
+        (lambda: table1_experiment(SMALL, [20, 20.7], [3], 2, 1), "n_grid entry"),
+        (lambda: table1_experiment(SMALL, [20], [3], 2.5, 1), "runs"),
+        (lambda: build_canonical_scenario(scan_count=40.9), "scan_count"),
+        (lambda: build_canonical_scenario(observer_leg_scans=2.5), "observer_leg_scans"),
+    ],
+    ids=["run_single", "run_single-numpy", "run_single-nan", "run_single-text", "standard_pf_init",
+         "possibility_pf_init", "run_batch-runs", "run_batch-parallelism", "table1-n", "table1-second-n",
+         "table1-runs", "scan_count", "observer_leg_scans"],
+)
+def test_fractional_counts_are_rejected_before_any_draw(monkeypatch, call, name):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking its counts")
+
+    # The filters' rng is None above: using it fails as a draw would.
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=rf"^{name} must be a whole number of at least \d, got "):
+        call()
+
+
+def test_whole_float_counts_run_as_ints():
+    report = run_single(SMALL, FILTER_STANDARD, 20.0, 1)
+    assert report.particles == 20 and type(report.particles) is int
+    cells = table1_experiment(SMALL, [np.float64(20.0)], [3], 2, 1)
+    assert [(c.n, type(c.n)) for c in cells] == [(20, int), (20, int)]
+
+
 # ---------------------------------------------------------------------------
 # batches
 # ---------------------------------------------------------------------------
@@ -472,7 +515,7 @@ def test_scenario_crlb_raises_naming_the_first_non_finite_scan(recwarn, scenario
 
 def test_scenario_crlb_uses_every_prior_field():
     s = build_canonical_scenario()
-    prior = PriorConfig(range_mean=12e3, range_sigma=2e3, vel_sigma=(1.0, 3.0))
+    prior = PriorConfig(range_mean=12e3, range_sigma=2e3, vel_sigma=3.0)
     scan1 = scenario_crlb(s, prior).bounds[0]
     # Due north, the range variance lies on y and the cross-range variance on x.
-    np.testing.assert_allclose(np.diag(scan1), [(12e3 * s.filter_sigma) ** 2, 1.0, 2e3**2, 9.0], rtol=1e-9)
+    np.testing.assert_allclose(np.diag(scan1), [(12e3 * s.filter_sigma) ** 2, 9.0, 2e3**2, 9.0], rtol=1e-9)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posspf.bench import build_canonical_scenario
+from posspf.bench import build_canonical_scenario, run_batch, scenario_crlb
 from posspf.cli import main
 from posspf.config import KEYS, KNOT, ConfigError, load_config
 from posspf.filters import PossibilityPFOptions
@@ -50,25 +50,20 @@ def test_defaults_load_without_file():
     assert cfg.particles() == 5000
     scenario = cfg.scenario()
     assert scenario.scan_count == 40
-    # knots round-trip close to the SI canonical speeds
-    assert cfg.parsed["scenario"]["target_speed_kn"] * KNOT == pytest.approx(4.0, abs=1e-3)
+    # the knot defaults are the SI canonical speeds exactly
+    assert cfg.parsed["scenario"]["target_speed_kn"] * KNOT == 4.0
 
 
-def test_config_defaults_are_the_library_defaults_up_to_knot_rounding():
-    """The default config is the library's canonical engagement, with knots rounded to four decimals."""
+def test_config_defaults_are_the_library_defaults():
+    """The default config is the library's canonical engagement, field for field and bit for bit."""
     cfg = load_config(None, [])
     got, want = cfg.scenario(), build_canonical_scenario()
-    np.testing.assert_allclose(got.observer[:, [0, 2]], want.observer[:, [0, 2]], rtol=0, atol=0.05)
-    np.testing.assert_allclose(got.observer[:, [1, 3]], want.observer[:, [1, 3]], rtol=0, atol=1e-4)
-    np.testing.assert_array_equal(got.target_init[[0, 2]], want.target_init[[0, 2]])
-    np.testing.assert_allclose(got.target_init[[1, 3]], want.target_init[[1, 3]], rtol=0, atol=1e-4)
+    for name in ("observer", "target_init"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert (got.T, got.q, got.true_noise, got.filter_sigma, got.deterministic_target) == (
         want.T, want.q, want.true_noise, want.filter_sigma, want.deterministic_target
     )
-
-    prior, library_prior = cfg.prior(), PriorConfig()
-    np.testing.assert_allclose(prior.vel_sigma, library_prior.vel_sigma, rtol=1e-5)
-    assert (prior.range_mean, prior.range_sigma) == (library_prior.range_mean, library_prior.range_sigma)
+    assert cfg.prior() == PriorConfig()
     assert cfg.filter_options() == PossibilityPFOptions()
 
 
@@ -142,10 +137,10 @@ def _perfbench_workloads():
 # config_hash headers of the defaults and of the benchmark's workloads: the
 # default texts and the hashed form must not move, or every CSV header does.
 PINNED_HASHES = {
-    None: "f52c65ba8cf7",
-    "mc-poss-n5000": "81ffc4aa6481",
-    "mc-std-n5000-t3": "81b89a30db45",
-    "grid-n500-par2": "7b8ac912ff6d",
+    None: "1dcf7a0f785c",
+    "mc-poss-n5000": "a3b42d0267f4",
+    "mc-std-n5000-t3": "c1dc23d5b2b8",
+    "grid-n500-par2": "6de8171c5a07",
 }
 
 
@@ -730,27 +725,27 @@ def test_crlb_curve_finite_and_improves_after_manoeuvre(tmp_path):
 
 # Small configurations of every command and their output digests: the exit
 # code, stdout, and each CSV after its metadata line (test_config_hash_is_pinned
-# pins that line).  The digests were recorded at commit e60d24e; they hold for
-# the numpy build that recorded them, so a different numpy or BLAS build may
-# need them re-recorded from that commit.
+# pins that line).  The digests were re-recorded when the knot defaults became
+# exact, on the change after commit 5a3af4d; they hold for the numpy build that
+# recorded them, so a different numpy or BLAS build may need them re-recorded.
 REFERENCE_OUTPUTS = {
-    "run-possibility": (["run", "filter.particles=500", "experiment.runs=10"], "5324963991d22912"),
+    "run-possibility": (["run", "filter.particles=500", "experiment.runs=10"], "25e64fe7d202e218"),
     "run-standard": (
-        ["run", "filter.kind=standard", "filter.particles=500", "experiment.runs=10"], "9b3694afaddaec68"
+        ["run", "filter.kind=standard", "filter.particles=500", "experiment.runs=10"], "2b28ac586a28c61c"
     ),
     "run-max-entropy-gaussian": (
         ["run", "filter.particles=200", "experiment.runs=5", "filter.proposal=max-entropy",
          "filter.transition_weighting=gaussian", "filter.map_peak_cut=0"],
-        "ba86322d797b5b0c",
+        "2f706133f6b54714",
     ),
-    "run-all-divergent": (["run", "filter.particles=1", "experiment.runs=3"], "0ac28246f8b6f406"),
+    "run-all-divergent": (["run", "filter.particles=1", "experiment.runs=3"], "c1bb3076042b6d9d"),
     "table1": (
         ["table1", "experiment.n_grid=200", "experiment.nu_grid=3, inf", "experiment.runs=5",
          "experiment.parallelism=2"],
-        "f0bf03c5779656aa",
+        "ea729c1f4b8c1dc4",
     ),
-    "crlb": (["crlb"], "9ecb1f70205746eb"),
-    "crlb-noise-free": (["crlb", "scenario.process_noise=0"], "cea88b28f05933f9"),
+    "crlb": (["crlb"], "1d2ad93f6c408d06"),
+    "crlb-noise-free": (["crlb", "scenario.process_noise=0"], "7aac6a9292d7aae6"),
 }
 
 
@@ -773,3 +768,20 @@ def output_digest(command, overrides, outdir, capsys):
 def test_command_outputs_match_reference_digest(tmp_path, capsys, case):
     (command, *overrides), expected = REFERENCE_OUTPUTS[case]
     assert output_digest(command, overrides, tmp_path, capsys) == expected
+
+
+def test_cli_defaults_run_the_library_engagement(tmp_path):
+    """``run`` and ``crlb`` on the defaults write what the library computes on its canonical engagement."""
+    (command, *overrides), _ = REFERENCE_OUTPUTS["run-possibility"]
+    assert main([command, "--set", f"output.directory={tmp_path}", *(a for o in overrides for a in ("--set", o))]) == 0
+    assert main(["crlb", "--set", f"output.directory={tmp_path}"]) == 0
+
+    def column(name):
+        return [float.hex(float(line.split(",")[2])) for line in read_lines(tmp_path / name)[2:]]
+
+    def as_written(values):
+        return [float.hex(float(f"{v:.10g}")) for v in values]
+
+    library = run_batch(build_canonical_scenario(), "possibility", 500, 10, 20240501)
+    assert column("runs.csv") == as_written(r.pos_errors[-1] for r in library.reports)
+    assert column("crlb.csv") == as_written(scenario_crlb(build_canonical_scenario()).position_bound)

@@ -291,25 +291,13 @@ def test_wrap_angle_range():
 
 @pytest.mark.parametrize(
     "scale",
-    [{"range_mean": math.nan}, {"range_sigma": math.inf}, {"sigma": math.nan}, {"vel_sigma": (2.6, 0.0)}],
+    [{"range_mean": math.nan}, {"range_sigma": math.inf}, {"sigma": math.nan}, {"vel_sigma": 0.0}],
 )
 def test_init_prior_rejects_non_finite_scales(scale):
     fields = dict(scale)
     sigma = fields.pop("sigma", DEG)
     with pytest.raises(ValueError, match="positive and finite"):
         init_prior(0.0, (0.0, 7.5), sigma, PriorConfig(**fields))
-
-
-@pytest.mark.parametrize("vel_sigma", [(2.6,), (2.6, 2.6, 2.6), ((2.6, 2.6),), 2.6])
-def test_prior_config_requires_exactly_two_velocity_sigmas(vel_sigma):
-    with pytest.raises(ValueError, match="exactly two"):
-        PriorConfig(vel_sigma=vel_sigma)
-
-
-def test_prior_config_stores_velocity_sigmas_as_floats():
-    prior = PriorConfig(vel_sigma=np.array([1, 3]))
-    assert prior.vel_sigma == (1.0, 3.0)
-    assert all(type(v) is float for v in prior.vel_sigma)
 
 
 def test_init_prior_due_north_consistent_orientation():
