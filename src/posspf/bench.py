@@ -25,14 +25,13 @@ from .filters import (
     AllWeightsZero,
     LinearGaussianTransition,
     PossibilityPFOptions,
-    peak_set_representative,
+    peak_set_representative,  # unused here; perfbench/tracer.py binds this name (ROADMAP item 9)
     possibility_pf_init,
     possibility_pf_step,
     standard_pf_init,
     standard_pf_step,
-    whole_count,
 )
-from .possq import GaussianPossibility
+from .possq import GaussianPossibility, whole_count
 from .tma import (
     PriorConfig,
     bearing_log_likelihood,
@@ -60,6 +59,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion, as fractions."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, trials = {trials}], got {successes!r}")
     z = 1.959963984540054  # the 97.5% standard normal quantile
     p = successes / trials
     denom = 1.0 + z * z / trials
@@ -291,18 +292,13 @@ def run_single(
 
     track = np.full((scenario.scan_count, 2), np.nan)
     collapsed = False
+    if filter_kind == FILTER_POSSIBILITY:
+        init, step = partial(possibility_pf_init, options=options), partial(possibility_pf_step, options=options)
+    else:
+        init, step = standard_pf_init, standard_pf_step
     try:
-        if filter_kind == FILTER_POSSIBILITY:
-            ps = possibility_pf_init(prior_poss, n, rng_filter, options)
-            with np.errstate(divide="ignore"):
-                j0 = peak_set_representative(ps.states, np.log(ps.weights), options.map_peak_cut)
-            track[0] = ps.states[j0][[0, 2]]
-            step = partial(possibility_pf_step, options=options)
-        else:
-            ps = standard_pf_init(prior_poss, n, rng_filter)
-            track[0] = ps.weights @ ps.states[:, [0, 2]]
-            step = standard_pf_step
-
+        ps, estimate = init(prior_poss, n, rng_filter)
+        track[0] = estimate[::2]
         for k in range(1, scenario.scan_count):
             # The relative state moves by F, less the observer's own move.
             transition.offset = F @ obs[k - 1] - obs[k]
@@ -328,19 +324,38 @@ def run_single(
 
 @dataclass
 class BatchResult:
-    """Aggregates over a batch of seeded runs of one filter."""
+    """Aggregates over a batch of seeded runs of one filter.
+
+    Only the reports and the RMS curve are stored; the counts and the
+    divergence percentage with its Wilson interval derive from the reports.
+    """
 
     reports: list[RunReport]
     rms_m: np.ndarray          # per-scan RMS position error over non-divergent runs
-    n_runs: int
-    n_divergent: int
-    divergence_pct: float
-    wilson_lo_pct: float
-    wilson_hi_pct: float
+
+    @property
+    def n_runs(self) -> int:
+        return len(self.reports)
+
+    @property
+    def n_divergent(self) -> int:
+        return sum(r.divergent for r in self.reports)
 
     @property
     def n_alive(self) -> int:
         return self.n_runs - self.n_divergent
+
+    @property
+    def divergence_pct(self) -> float:
+        return 100.0 * self.n_divergent / self.n_runs
+
+    @property
+    def wilson_lo_pct(self) -> float:
+        return 100.0 * wilson_interval(self.n_divergent, self.n_runs)[0]
+
+    @property
+    def wilson_hi_pct(self) -> float:
+        return 100.0 * wilson_interval(self.n_divergent, self.n_runs)[1]
 
 
 # Not a partial of run_single: a worker looks run_single up, so a pre-fork patch runs and is never pickled.
@@ -387,17 +402,7 @@ def run_batch(
         rms = np.sqrt(np.mean(np.square(np.array(alive)), axis=0))
     else:
         rms = np.full(scenario.scan_count, np.nan)
-    n_div = sum(r.divergent for r in reports)
-    lo, hi = wilson_interval(n_div, runs)
-    return BatchResult(
-        reports=reports,
-        rms_m=rms,
-        n_runs=runs,
-        n_divergent=n_div,
-        divergence_pct=100.0 * n_div / runs,
-        wilson_lo_pct=100.0 * lo,
-        wilson_hi_pct=100.0 * hi,
-    )
+    return BatchResult(reports=reports, rms_m=rms)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ the per-scan peak, so sharply peaked likelihoods cannot underflow.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,23 +28,12 @@ from .possq import (
     sample_discrete,
     water_pour_continuous,
     water_pour_discrete,
+    whole_count,
 )
 
 
 class AllWeightsZero(RuntimeError):
     """Every particle weight underflowed to zero; the filter has collapsed."""
-
-
-def whole_count(name: str, value, minimum: int = 1) -> int:
-    """``value`` as an int, or a ValueError naming ``name`` unless it is a whole number >= ``minimum``.
-
-    A fractional count is refused, not truncated: a truncated count runs
-    one number and reports another.
-    """
-    whole = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
-    if not (whole and value >= minimum):
-        raise ValueError(f"{name} must be a whole number of at least {minimum}, got {value!r}")
-    return int(value)
 
 
 @dataclass
@@ -108,6 +96,11 @@ class PossibilityPFOptions:
             raise ValueError("map peak cut must be nonnegative and finite")
 
 
+def _support_sampler(pi: GaussianPossibility, options: PossibilityPFOptions):
+    """What ``options.proposal`` draws support from for ``pi``: its density or its water-poured density."""
+    return water_pour_continuous(pi) if options.proposal == "max-entropy" else pi
+
+
 class LinearGaussianTransition:
     """Transition whose possibility is Gaussian with mean A x + b, fixed spread.
 
@@ -135,10 +128,8 @@ class LinearGaussianTransition:
         """Draw one successor support point per particle."""
         key = (options.proposal, options.proposal_inflation)
         if key not in self._proposals:
-            proposal = GaussianPossibility(self.noise.mean, self.noise.spread * options.proposal_inflation)
-            if options.proposal == "max-entropy":
-                proposal = water_pour_continuous(proposal)
-            self._proposals[key] = proposal
+            inflated = GaussianPossibility(self.noise.mean, self.noise.spread * options.proposal_inflation)
+            self._proposals[key] = _support_sampler(inflated, options)
         # Proposals are zero-mean, so adding the deviation to the means is
         # adding their sample.
         proposed = self.means(states)
@@ -200,19 +191,21 @@ def possibility_pf_init(
     n: int,
     rng: np.random.Generator,
     options: PossibilityPFOptions = PossibilityPFOptions(),
-) -> ParticleSet:
+) -> tuple[ParticleSet, np.ndarray]:
     """Draw initial support points and weight them by the prior possibility.
 
     Weights are the prior possibility values at the samples, divided by
-    their maximum (max weight exactly 1).  Raises :class:`AllWeightsZero`
-    when that maximum is not finite, e.g. for a NaN first bearing.
+    their maximum (max weight exactly 1).  Returns the set and its point
+    estimate, as :func:`possibility_pf_step` does.  Raises
+    :class:`AllWeightsZero` when that maximum is not finite, e.g. for a
+    NaN first bearing.
     """
     n = whole_count("n", n)
-    source = water_pour_continuous(prior) if options.proposal == "max-entropy" else prior
-    states = source.sample(rng, n)
+    states = _support_sampler(prior, options).sample(rng, n)
     log_w = prior.log_eval(states)
     log_w -= _finite_peak(log_w, 0)
-    return ParticleSet(states, np.exp(log_w, out=log_w))
+    j = peak_set_representative(states, log_w, options.map_peak_cut)
+    return ParticleSet(states, np.exp(log_w, out=log_w)), states[j]
 
 
 def possibility_pf_resample(
@@ -265,14 +258,17 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     return np.searchsorted(cum, positions, side="right")
 
 
-def standard_pf_init(prior: GaussianPossibility, n: int, rng: np.random.Generator) -> ParticleSet:
+def standard_pf_init(prior: GaussianPossibility, n: int, rng: np.random.Generator) -> tuple[ParticleSet, np.ndarray]:
     """Bootstrap initialisation: Gaussian prior samples, uniform weights.
 
-    The samples are row-major, as :meth:`LinearGaussianTransition.sample_model`
-    explains.
+    Returns the set and its weighted-mean estimate, as :func:`standard_pf_step`
+    does.  The samples are row-major, as
+    :meth:`LinearGaussianTransition.sample_model` explains.
     """
     n = whole_count("n", n)
-    return ParticleSet(np.ascontiguousarray(prior.sample(rng, n)), np.full(n, 1.0 / n))
+    states = np.ascontiguousarray(prior.sample(rng, n))
+    weights = np.full(n, 1.0 / n)
+    return ParticleSet(states, weights), weights @ states
 
 
 def standard_pf_step(

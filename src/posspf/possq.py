@@ -16,9 +16,22 @@ construction for weight vectors, and exact samplers for both.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def whole_count(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int, or a ValueError naming ``name`` unless it is a whole number >= ``minimum``.
+
+    A fractional count is refused, not truncated: a truncated count runs
+    one number and reports another.
+    """
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    if not (whole and value >= minimum):
+        raise ValueError(f"{name} must be a whole number of at least {minimum}, got {value!r}")
+    return int(value)
 
 
 class GaussianPossibility:
@@ -76,7 +89,7 @@ class GaussianPossibility:
     def deviation(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """The draws of :meth:`sample` before the mean is added, shape (size, d), column-major."""
         # (L @ g.T).T equals g @ L.T bit for bit, for row- and column-major g.
-        return (self.chol @ rng.standard_normal((int(size), self.dim)).T).T
+        return (self.chol @ rng.standard_normal((whole_count("size", size, 0), self.dim)).T).T
 
 
 @dataclass(frozen=True)
@@ -106,7 +119,7 @@ class WaterPouredDensity:
         inverted through the survival function for tail accuracy).
         """
         d = self.source.dim
-        n = int(size)
+        n = whole_count("size", size, 0)
         u = rng.random(n)
         on_plateau = u < self.plateau_mass
         k = int(on_plateau.sum())
@@ -223,7 +236,7 @@ def sample_discrete(pmf: np.ndarray, rng: np.random.Generator, count: int) -> np
     """
     cum = np.cumsum(pmf)
     cum[-1] = 1.0  # guard against rounding in the last cell
-    u = rng.random(int(count))
+    u = rng.random(whole_count("count", count, 0))
     # A radix sort on the top 16 bits orders the uniforms well enough for
     # the search to benefit; each search result does not depend on the order.
     order = np.argsort((u * 65536.0).astype(np.uint16), kind="stable")

@@ -26,8 +26,8 @@ def wrap_angle(angle):
 
 def transition_matrix(T: float) -> np.ndarray:
     """Constant-velocity transition matrix, block diagonal per axis."""
-    if T <= 0:
-        raise ValueError("sampling interval must be positive")
+    if not 0 < T < np.inf:
+        raise ValueError(f"sampling interval T must be positive and finite, got {T!r}")
     F = np.eye(4)
     F[0, 1] = T
     F[2, 3] = T
@@ -36,10 +36,10 @@ def transition_matrix(T: float) -> np.ndarray:
 
 def process_noise_matrix(T: float, q: float) -> np.ndarray:
     """White-acceleration process noise matrix, intensity q in m^2/s^3."""
-    if T <= 0:
-        raise ValueError("sampling interval must be positive")
-    if q <= 0:
-        raise ValueError("process noise intensity must be positive for filtering")
+    if not 0 < T < np.inf:
+        raise ValueError(f"sampling interval T must be positive and finite, got {T!r}")
+    if not 0 < q < np.inf:
+        raise ValueError(f"process noise intensity q must be positive and finite for filtering, got {q!r}")
     T = np.float64(T)  # its ** gives inf where a Python float's raises OverflowError
     block = q * np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
     Q = np.zeros((4, 4))

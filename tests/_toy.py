@@ -4,16 +4,18 @@ Scalar position x, random-walk transition with variance q, direct
 observation with noise variance r^2.  Both particle filters are run from
 the scan-1 posterior (the prior conjugately updated with the first
 measurement), mirroring the bearings-only pipeline where the first
-measurement shapes the initial distribution.
+measurement shapes the initial distribution.  As in ``run_single``, each
+filter is one ``init`` call, whose estimate is the scan-1 one, followed by
+one ``step`` per later scan, through the same scan loop.
 """
+
+from functools import partial
 
 import numpy as np
 
 from posspf.filters import (
     LinearGaussianTransition,
-    ParticleSet,
     PossibilityPFOptions,
-    peak_set_representative,
     possibility_pf_init,
     possibility_pf_step,
     standard_pf_init,
@@ -61,31 +63,25 @@ def toy_log_likelihood(states, z):
     return -0.5 * ((z - states[:, 0]) / R) ** 2
 
 
-def run_possibility_toy(z, n, seed, options=PossibilityPFOptions()):
-    """MAP track of the possibility filter on the toy problem."""
+def _run_toy(init, step, z, n, seed):
+    """Estimate track of one filter's (init, step) pair on the toy problem."""
     rng = np.random.default_rng(seed)
     mean1, var1 = scan1_posterior(z[0])
-    prior = GaussianPossibility([mean1], [[var1]])
-    ps = possibility_pf_init(prior, n, rng, options)
-    with np.errstate(divide="ignore"):
-        j = peak_set_representative(ps.states, np.log(ps.weights), options.map_peak_cut)
-    track = [ps.states[j, 0]]
+    ps, estimate = init(GaussianPossibility([mean1], [[var1]]), n, rng)
+    track = [estimate[0]]
     transition = LinearGaussianTransition([[1.0]], [[Q]])
     for k in range(1, len(z)):
-        ps, estimate = possibility_pf_step(ps, transition, toy_log_likelihood, z[k], rng, k, options)
+        ps, estimate = step(ps, transition, toy_log_likelihood, z[k], rng, k)
         track.append(estimate[0])
     return np.array(track)
+
+
+def run_possibility_toy(z, n, seed, options=PossibilityPFOptions()):
+    """MAP track of the possibility filter on the toy problem."""
+    init, step = partial(possibility_pf_init, options=options), partial(possibility_pf_step, options=options)
+    return _run_toy(init, step, z, n, seed)
 
 
 def run_standard_toy(z, n, seed):
     """MMSE track of the bootstrap filter on the toy problem."""
-    rng = np.random.default_rng(seed)
-    mean1, var1 = scan1_posterior(z[0])
-    prior = GaussianPossibility([mean1], [[var1]])
-    ps = standard_pf_init(prior, n, rng)
-    track = [float(ps.weights @ ps.states[:, 0])]
-    transition = LinearGaussianTransition([[1.0]], [[Q]])
-    for k in range(1, len(z)):
-        ps, estimate = standard_pf_step(ps, transition, toy_log_likelihood, z[k], rng, k)
-        track.append(estimate[0])
-    return np.array(track)
+    return _run_toy(standard_pf_init, standard_pf_step, z, n, seed)

@@ -350,8 +350,8 @@ def test_criterion_8_invariant_suite(canonical, tmp_path):
     log_lik = lambda states, meas: bearing_log_likelihood(states, meas, sigma)
     options = PossibilityPFOptions()
 
-    ps = possibility_pf_init(prior, 400, np.random.default_rng((3, 1)), options)
-    ps_std = standard_pf_init(prior, 400, np.random.default_rng((3, 2)))
+    ps, _ = possibility_pf_init(prior, 400, np.random.default_rng((3, 1)), options)
+    ps_std, _ = standard_pf_init(prior, 400, np.random.default_rng((3, 2)))
     if ps.weights.max() != 1.0:
         failures.append("possibility init max weight != 1")
     for k in range(1, scenario.scan_count):

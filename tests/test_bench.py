@@ -326,6 +326,16 @@ def test_batch_rms_matches_definition():
     np.testing.assert_allclose(batch.rms_m, np.sqrt((alive**2).mean(axis=0)))
 
 
+def test_batch_counts_derive_from_the_reports():
+    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+    batch = run_batch(s, FILTER_POSSIBILITY, 20, 5, 3)
+    assert [f.name for f in dataclasses.fields(batch)] == ["reports", "rms_m"]
+    n_div = sum(r.divergent for r in batch.reports)
+    lo, hi = wilson_interval(n_div, 5)
+    assert (batch.n_runs, batch.n_divergent, batch.n_alive) == (5, n_div, 5 - n_div)
+    assert (batch.divergence_pct, batch.wilson_lo_pct, batch.wilson_hi_pct) == (100.0 * n_div / 5, 100.0 * lo, 100.0 * hi)
+
+
 def test_batch_parallelism_does_not_change_results():
     s = build_canonical_scenario()
     serial = run_batch(s, FILTER_POSSIBILITY, 150, 4, 55, parallelism=1)
@@ -456,6 +466,12 @@ def test_wilson_interval_basic():
     assert 0.0 < hi < 0.03
     lo, hi = wilson_interval(100, 200)
     assert lo < 0.5 < hi
+
+
+@pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 10), (11, 10)])
+def test_wilson_interval_rejects_successes_outside_the_trials(successes, trials):
+    with pytest.raises(ValueError, match="successes"):
+        wilson_interval(successes, trials)
 
 
 def test_table1_grid_shape_and_fields():

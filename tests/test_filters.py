@@ -7,6 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posspf.bench import (
+    FILTER_POSSIBILITY,
+    FILTER_STANDARD,
+    build_canonical_scenario,
+    run_single,
+    sample_target_track,
+    synthesize_measurements,
+)
 from posspf.filters import (
     AllWeightsZero,
     LinearGaussianTransition,
@@ -51,7 +59,7 @@ ALL_OPTION_SETS = [PossibilityPFOptions(), TEXTBOOK_OPTIONS]
 
 def test_init_single_particle_has_weight_one():
     prior = GaussianPossibility([0.0], [[1.0]])
-    ps = possibility_pf_init(prior, 1, np.random.default_rng(0))
+    ps, _ = possibility_pf_init(prior, 1, np.random.default_rng(0))
     assert ps.weights[0] == 1.0
 
 
@@ -59,7 +67,7 @@ def test_init_single_particle_has_weight_one():
 def test_init_position_mean_near_prior_mean(options):
     prior = init_prior(0.1, (2.0, 1.0), DEG)
     n = 10_000
-    ps = possibility_pf_init(prior, n, np.random.default_rng(3), options)
+    ps, _ = possibility_pf_init(prior, n, np.random.default_rng(3), options)
     se = ps.states.std(axis=0) / math.sqrt(n)
     assert np.all(np.abs(ps.states.mean(axis=0) - prior.mean) < 3 * se)
 
@@ -67,7 +75,7 @@ def test_init_position_mean_near_prior_mean(options):
 @pytest.mark.parametrize("options", ALL_OPTION_SETS)
 def test_init_weights_in_range_with_unit_max(options):
     prior = init_prior(0.0, (0.0, 0.0), DEG)
-    ps = possibility_pf_init(prior, 500, np.random.default_rng(1), options)
+    ps, _ = possibility_pf_init(prior, 500, np.random.default_rng(1), options)
     assert ps.weights.max() == 1.0
     assert np.all(ps.weights > 0)
     assert np.all(ps.weights <= 1.0)
@@ -95,8 +103,8 @@ def test_draws_consume_the_reference_rng_stream():
     def gaussian(mean, chol):
         return lambda rng: mean + rng.standard_normal((n, 4)) @ chol.T
 
-    _assert_same_stream(lambda rng: possibility_pf_init(prior, n, rng).states, gaussian(prior.mean, prior_chol))
-    _assert_same_stream(lambda rng: standard_pf_init(prior, n, rng).states, gaussian(prior.mean, prior_chol))
+    _assert_same_stream(lambda rng: possibility_pf_init(prior, n, rng)[0].states, gaussian(prior.mean, prior_chol))
+    _assert_same_stream(lambda rng: standard_pf_init(prior, n, rng)[0].states, gaussian(prior.mean, prior_chol))
     for inflation in (1.0, 1.5):
         options = PossibilityPFOptions(proposal="density", proposal_inflation=inflation)
         _assert_same_stream(
@@ -151,10 +159,46 @@ def test_bootstrap_states_are_row_major():
     # The bootstrap estimate w @ states sums in memory order, so its states stay row-major.
     prior = init_prior(0.1, (2.0, 1.0), DEG)
     F, Q = transition_matrix(40.0), process_noise_matrix(40.0, 1e-3)
-    ps = standard_pf_init(prior, 50, np.random.default_rng(0))
+    ps, _ = standard_pf_init(prior, 50, np.random.default_rng(0))
     assert ps.states.flags.c_contiguous
     moved = LinearGaussianTransition(F, Q).sample_model(np.asfortranarray(ps.states), np.random.default_rng(1))
     assert moved.flags.c_contiguous
+
+
+@pytest.mark.parametrize("proposal", ["density", "max-entropy"])
+def test_possibility_init_estimate_at_zero_cut_is_the_arg_max_particle(proposal):
+    prior = init_prior(0.1, (2.0, 1.0), DEG)
+    options = PossibilityPFOptions(proposal=proposal, map_peak_cut=0.0)
+    ps, estimate = possibility_pf_init(prior, 500, np.random.default_rng(6), options)
+    j = np.argmax(ps.weights)
+    assert ps.weights[j] == 1.0
+    np.testing.assert_array_equal(estimate, ps.states[j])
+
+
+@pytest.mark.parametrize("cut", [0.5, 2.0])
+def test_possibility_init_estimate_is_a_near_peak_particle(cut):
+    prior = init_prior(0.1, (2.0, 1.0), DEG)
+    ps, estimate = possibility_pf_init(prior, 500, np.random.default_rng(7), PossibilityPFOptions(map_peak_cut=cut))
+    (rows,) = np.nonzero((ps.states == estimate).all(axis=1))
+    assert rows.size and np.all(ps.weights[rows] >= math.exp(-cut))
+
+
+def test_bootstrap_init_estimate_is_the_weighted_mean_bit_for_bit():
+    prior = init_prior(0.1, (2.0, 1.0), DEG)
+    ps, estimate = standard_pf_init(prior, 500, np.random.default_rng(8))
+    np.testing.assert_array_equal(estimate, ps.weights @ ps.states)
+
+
+@pytest.mark.parametrize("kind", [FILTER_POSSIBILITY, FILTER_STANDARD])
+def test_run_single_first_estimate_is_the_init_estimate(kind):
+    scenario = build_canonical_scenario(scan_count=4, observer_leg_scans=2)
+    seed, n = 11, 300
+    rng_world = np.random.default_rng((seed, 0))
+    z = synthesize_measurements(scenario, rng_world, sample_target_track(scenario, rng_world))
+    prior = init_prior(z[0], scenario.observer[0, [1, 3]], scenario.filter_sigma)
+    init = possibility_pf_init if kind == FILTER_POSSIBILITY else standard_pf_init
+    _, estimate = init(prior, n, np.random.default_rng((seed, 1)))
+    np.testing.assert_array_equal(run_single(scenario, kind, n, seed).estimate_track[0], estimate[::2])
 
 
 def test_init_rejects_zero_particles():
@@ -215,7 +259,7 @@ def test_max_weight_exactly_one_after_every_step(options):
     rng = np.random.default_rng(8)
     truth, z = simulate(np.random.default_rng(21), 8)
     prior = GaussianPossibility([z[0]], [[1.0]])
-    ps = possibility_pf_init(prior, 300, rng, options)
+    ps, _ = possibility_pf_init(prior, 300, rng, options)
     transition = LinearGaussianTransition([[1.0]], [[1.0]])
     for k in range(1, 8):
         ps, _ = possibility_pf_step(ps, transition, toy_log_likelihood, z[k], rng, k, options)
@@ -227,7 +271,7 @@ def test_standard_weights_sum_to_one_after_every_step():
     rng = np.random.default_rng(9)
     truth, z = simulate(np.random.default_rng(22), 8)
     prior = GaussianPossibility([z[0]], [[1.0]])
-    ps = standard_pf_init(prior, 300, rng)
+    ps, _ = standard_pf_init(prior, 300, rng)
     transition = LinearGaussianTransition([[1.0]], [[1.0]])
     for k in range(1, 8):
         ps, _ = standard_pf_step(ps, transition, toy_log_likelihood, z[k], rng, k)
@@ -252,7 +296,7 @@ def test_map_estimate_is_a_predicted_particle(options):
     truth, z = simulate(np.random.default_rng(30), 6)
     prior = GaussianPossibility([z[0]], [[1.0]])
     transition = LinearGaussianTransition([[1.0]], [[1.0]])
-    ps = possibility_pf_init(prior, 200, np.random.default_rng(31), options)
+    ps, _ = possibility_pf_init(prior, 200, np.random.default_rng(31), options)
     for k in range(1, 6):
         # Replay the prediction with an identically seeded stream, then step.
         replay_rng = np.random.default_rng((77, k))

@@ -487,6 +487,24 @@ def test_discrete_permutation_equivariance(weights, rnd):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "draw, name",
+    [
+        (lambda rng, size: GaussianPossibility([0.0], [[1.0]]).sample(rng, size), "size"),
+        (lambda rng, size: water_pour_continuous(GaussianPossibility([0.0, 0.0], np.eye(2))).sample(rng, size), "size"),
+        (lambda rng, size: sample_discrete(np.array([0.25, 0.75]), rng, size), "count"),
+    ],
+    ids=["gaussian", "water-poured", "discrete"],
+)
+def test_samplers_refuse_fractional_sizes_and_draw_nothing_at_zero(draw, name):
+    rng = np.random.default_rng(0)
+    for bad in (2.5, 2.7, -1):
+        with pytest.raises(ValueError, match=name):
+            draw(rng, bad)
+    assert len(draw(rng, 0)) == 0
+    assert len(draw(rng, 3.0)) == 3
+
+
 def test_sample_discrete_degenerate():
     pmf = water_pour_discrete([1.0])
     idx = sample_discrete(pmf, np.random.default_rng(0), 1000)

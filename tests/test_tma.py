@@ -82,9 +82,19 @@ def test_process_noise_is_positive_definite(T, q):
     np.linalg.cholesky(process_noise_matrix(T, q))
 
 
-def test_process_noise_rejects_nonpositive_q():
-    with pytest.raises(ValueError):
-        process_noise_matrix(40.0, 0.0)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (transition_matrix, "T"),
+        (lambda v: process_noise_matrix(v, 1e-3), "T"),
+        (lambda v: process_noise_matrix(40.0, v), "q"),
+    ],
+    ids=["transition-T", "process-noise-T", "process-noise-q"],
+)
+def test_dynamics_matrices_reject_non_positive_or_non_finite_arguments(build, name, bad):
+    with pytest.raises(ValueError, match=rf"\b{name} must be positive and finite"):
+        build(bad)
 
 
 # ---------------------------------------------------------------------------

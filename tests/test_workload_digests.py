@@ -9,7 +9,11 @@ workload through ``load_config`` with the overrides of
 ``perfbench/workloads.py`` and hash the raw bytes of every report of its
 first library call.  The digests were re-recorded when the knot defaults
 became exact, on the change after commit 5a3af4d; like the golden
-digests, they hold for the numpy build that recorded them.
+digests, they hold for the numpy build that recorded them.  The
+``mc-std-n5000-t3`` and grid digests were re-recorded again on top of
+commit 96f00aa, when the bootstrap init began returning its estimate as
+``weights @ states``: only the bootstrap runs' scan-1 estimates and errors
+moved (by at most 1.8e-11 m), and every grid cell is bit-identical.
 """
 
 import dataclasses
@@ -46,12 +50,12 @@ def reports_digest(reports) -> str:
 # workload -> digest of the reports of its first run_batch call.
 FIRST_BATCH = {
     "mc-poss-n5000": "5a7fcaffecb6aef8",
-    "mc-std-n5000-t3": "f593ee1161ee4db0",
+    "mc-std-n5000-t3": "500a890c90d71b56",
 }
 
 # Digest of every report of one serial table1 call, in run_batch call order,
 # and of its cells.
-GRID = "fa35f1d3601b132b"
+GRID = "bbe1d61601758ff8"
 
 
 @pytest.mark.parametrize("name", list(FIRST_BATCH))
