@@ -234,7 +234,7 @@ def sample_target_track(scenario: Scenario, rng: np.random.Generator) -> np.ndar
     track = np.empty((scenario.scan_count, 4))
     track[0] = scenario.target_init
     for k in range(1, scenario.scan_count):
-        track[k] = F @ track[k - 1] + noise.sample(rng, 1)[0]
+        track[k] = F @ track[k - 1] + noise.deviation(rng, 1)[0]
     return track
 
 

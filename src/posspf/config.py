@@ -14,12 +14,14 @@ import configparser
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
+import numpy as np
+
 from .bench import Scenario, build_canonical_scenario
-from .filters import PossibilityPFOptions
-from .tma import PriorConfig
+from .filters import LinearGaussianTransition, PossibilityPFOptions
+from .tma import PriorConfig, process_noise_matrix, transition_matrix
 
 KNOT = 1852.0 / 3600.0  # metres per second
 DEGREE = math.pi / 180.0  # radians
@@ -160,19 +162,28 @@ class Config:
         """The configured scenario.
 
         ``filtering=True`` is for commands that run a filter: its transition
-        noise must be nondegenerate, so process_noise = 0 is rejected here.
-        The bound alone (``crlb``) accepts a noise-free target.
+        noise must be nondegenerate, so process_noise = 0 is rejected here,
+        and so is a sampling interval whose noise matrix is singular in
+        floating point.  The bound alone (``crlb``) accepts both.
         """
         s = self.parsed["scenario"]
-        if filtering and s["process_noise"] == 0:
-            self._fail("scenario", "process_noise", "must be positive to run a filter (only crlb accepts 0)")
+        T, q = s["sample_time_s"], s["process_noise"]
+        if filtering:
+            if q == 0:
+                self._fail("scenario", "process_noise", "must be positive to run a filter (only crlb accepts 0)")
+            try:  # the transition run_single builds; an overflowing T**3 is left to the bound
+                with np.errstate(over="ignore"):
+                    LinearGaussianTransition(transition_matrix(T), process_noise_matrix(T, q))
+            except ValueError as exc:
+                self._fail("scenario", "sample_time_s", f"gives a process noise matrix that cannot run a filter "
+                           f"({exc}); process_noise also shapes it (only crlb accepts this)")
         range_m = self._si("scenario", "target_range_km", 1e3)
         self._si("scenario", "noise_sigma_deg", DEGREE)  # the library converts to radians
         self._si("filter", "sigma_deg", DEGREE)
         try:
             return build_canonical_scenario(
                 scan_count=s["scans"],
-                T=s["sample_time_s"],
+                T=T,
                 initial_range_m=range_m,
                 initial_bearing_deg=s["target_bearing_deg"],
                 target_speed=s["target_speed_kn"] * KNOT,
@@ -180,7 +191,7 @@ class Config:
                 observer_speed=s["observer_speed_kn"] * KNOT,
                 observer_headings_deg=tuple(s["observer_headings_deg"]),
                 observer_leg_scans=s["observer_leg_scans"],
-                q=s["process_noise"],
+                q=q,
                 noise_sigma_deg=s["noise_sigma_deg"],
                 noise_nu=s["noise_dof"] if s["noise"] == "student-t" else math.inf,
                 filter_sigma_deg=self.parsed["filter"]["sigma_deg"],
@@ -200,8 +211,7 @@ class Config:
         )
 
     def filter_options(self) -> PossibilityPFOptions:
-        names = ("proposal", "transition_weighting", "proposal_inflation", "map_peak_cut")
-        return PossibilityPFOptions(**{name: self.parsed["filter"][name] for name in names})
+        return PossibilityPFOptions(**{f.name: self.parsed["filter"][f.name] for f in fields(PossibilityPFOptions)})
 
     filter_kind = _read("filter", "kind")
     particles = _read("filter", "particles")

@@ -76,8 +76,9 @@ class PossibilityPFOptions:
     map_peak_cut
         Log-width of the near-peak set used for the point estimate.  The
         estimate is the member of {w >= exp(-cut) * max} closest to that
-        set's weighted barycentre (still an actual particle).  0 reduces
-        to the raw arg-max particle.
+        set's weighted barycentre (still an actual particle).  At 0 the set
+        holds the particles of peak weight: the arg-max when the peak is
+        unique, else the most central of the tied particles.
     """
 
     proposal: str = "density"
@@ -130,8 +131,7 @@ class LinearGaussianTransition:
         if key not in self._proposals:
             inflated = GaussianPossibility(self.noise.mean, self.noise.spread * options.proposal_inflation)
             self._proposals[key] = _support_sampler(inflated, options)
-        # Proposals are zero-mean, so adding the deviation to the means is
-        # adding their sample.
+        # Proposals are zero-mean: a sample is the means plus the deviation.
         proposed = self.means(states)
         proposed += self._proposals[key].deviation(rng, states.shape[0])
         return proposed
@@ -167,12 +167,11 @@ def _finite_peak(log_w: np.ndarray, scan_index: int) -> float:
 def peak_set_representative(states: np.ndarray, norm_log_weights: np.ndarray, cut: float) -> int:
     """Index of the maximum-possibility representative particle.
 
-    With ``cut == 0`` this is the first arg-max of the weights.  Otherwise
-    the near-peak set {log w >= -cut} is collapsed to its single most
-    central member: the particle closest to the set's weighted barycentre.
+    The near-peak set {log w >= -cut} is collapsed to its single most
+    central member: the particle closest to the set's weighted barycentre,
+    the first such on a tie.  With ``cut == 0`` and a unique peak this is
+    the arg-max.
     """
-    if cut <= 0.0:
-        return int(np.argmax(norm_log_weights))
     selected = np.flatnonzero(norm_log_weights >= -cut)
     sub = states.take(selected, axis=0)
     wsub = np.exp(norm_log_weights.take(selected))
@@ -201,7 +200,7 @@ def possibility_pf_init(
     NaN first bearing.
     """
     n = whole_count("n", n)
-    states = _support_sampler(prior, options).sample(rng, n)
+    states = prior.mean + _support_sampler(prior, options).deviation(rng, n)
     log_w = prior.log_eval(states)
     log_w -= _finite_peak(log_w, 0)
     j = peak_set_representative(states, log_w, options.map_peak_cut)
@@ -266,7 +265,7 @@ def standard_pf_init(prior: GaussianPossibility, n: int, rng: np.random.Generato
     :meth:`LinearGaussianTransition.sample_model` explains.
     """
     n = whole_count("n", n)
-    states = np.ascontiguousarray(prior.sample(rng, n))
+    states = np.ascontiguousarray(prior.mean + prior.deviation(rng, n))
     weights = np.full(n, 1.0 / n)
     return ParticleSet(states, weights), weights @ states
 

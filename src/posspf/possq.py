@@ -82,12 +82,11 @@ class GaussianPossibility:
         dev = np.linalg.solve(self.chol, (pts - self.mean).T)
         return -0.5 * np.einsum("ij,ij->j", dev, dev)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` points from the Gaussian density of this shape, shape (size, d)."""
-        return self.mean + self.deviation(rng, size)
-
     def deviation(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The draws of :meth:`sample` before the mean is added, shape (size, d), column-major."""
+        """``size`` draws of this shape's Gaussian density less its mean, shape (size, d), column-major.
+
+        A sample of the density is ``mean + deviation``.
+        """
         # (L @ g.T).T equals g @ L.T bit for bit, for row- and column-major g.
         return (self.chol @ rng.standard_normal((whole_count("size", size, 0), self.dim)).T).T
 
@@ -106,17 +105,14 @@ class WaterPouredDensity:
     plateau_radius: float
     plateau_mass: float
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` exact samples, shape (size, d)."""
-        return self.source.mean + self.deviation(rng, size)
-
     def deviation(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The draws of :meth:`sample` before the source mean is added, shape (size, d).
+        """``size`` exact draws of this density less the source mean, shape (size, d).
 
-        Composition method: with probability ``plateau_mass`` draw uniformly
-        inside the plateau ellipsoid, otherwise draw from the Gaussian-shaped
-        tail (squared radius from a chi-square conditioned beyond the plateau,
-        inverted through the survival function for tail accuracy).
+        A sample is ``source.mean + deviation``.  Composition method: with
+        probability ``plateau_mass`` draw uniformly inside the plateau
+        ellipsoid, otherwise draw from the Gaussian-shaped tail (squared
+        radius from a chi-square conditioned beyond the plateau, inverted
+        through the survival function for tail accuracy).
         """
         d = self.source.dim
         n = whole_count("size", size, 0)

@@ -186,7 +186,7 @@ def test_criterion_3_sampler_exactness():
     stats_seen = []
     for i, (mu, sigma) in enumerate([(0.0, 1.0), (1.5, 0.6), (-2.0, 2.0)]):
         poured = water_pour_continuous(GaussianPossibility([mu], [[sigma**2]]))
-        samples = poured.sample(np.random.default_rng(BASE_SEED + 10 + i), n)[:, 0]
+        samples = (poured.source.mean + poured.deviation(np.random.default_rng(BASE_SEED + 10 + i), n))[:, 0]
         ks = stats.kstest(
             samples, lambda x: _poured_cdf_1d(x, mu, sigma, poured.level, poured.plateau_radius)
         )

@@ -93,6 +93,20 @@ def test_scenario_rejects_target_init_shapes(target_init):
         dataclasses.replace(build_canonical_scenario(), target_init=target_init)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("T", 0.0, "sampling interval"),
+        ("T", math.nan, "sampling interval"),
+        ("target_init", [0.0, 0.0, math.inf, 0.0], "target initial state must be finite"),
+    ],
+)
+def test_scenario_rejects_values_that_bypass_the_builder(field, value, message):
+    # build_canonical_scenario checks T itself, so only a direct Scenario reaches these checks.
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(build_canonical_scenario(), **{field: value})
+
+
 def test_scenario_stores_target_init_as_a_float_array():
     s = dataclasses.replace(build_canonical_scenario(), target_init=[0, 1, 10000, -2])
     assert s.target_init.dtype == np.float64
@@ -241,6 +255,7 @@ def test_nan_first_bearing_makes_a_divergent_run_not_a_crash():
         {"target_speed": math.nan},
         {"observer_speed": math.inf},
         {"observer_headings_deg": (70.0, math.nan)},
+        {"observer_headings_deg": (70.0,)},
     ],
 )
 def test_non_finite_scenario_values_rejected(override):
@@ -468,9 +483,12 @@ def test_wilson_interval_basic():
     assert lo < 0.5 < hi
 
 
-@pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 10), (11, 10)])
-def test_wilson_interval_rejects_successes_outside_the_trials(successes, trials):
-    with pytest.raises(ValueError, match="successes"):
+@pytest.mark.parametrize(
+    "successes, trials, message",
+    [(5, 3, "successes"), (-1, 10, "successes"), (11, 10, "successes"), (0, 0, "trials"), (0, -1, "trials")],
+)
+def test_wilson_interval_rejects_invalid_counts(successes, trials, message):
+    with pytest.raises(ValueError, match=message):
         wilson_interval(successes, trials)
 
 

@@ -172,6 +172,16 @@ def test_default_section_is_an_unknown_section(tmp_path, capsys, text, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_key_before_any_section_exits_2_as_a_syntax_error(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text("scans = 20\n[scenario]\n")
+    with pytest.raises(ConfigError, match="config syntax error"):
+        load_config(str(path))
+    assert main(["crlb", "--config", str(path), "--set", f"output.directory={tmp_path / 'out'}"]) == 2
+    assert "config syntax error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_file_values_are_not_interpolated(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[output]\ndirectory = run-50%\n")
@@ -306,18 +316,29 @@ def test_non_finite_input_exits_2_and_writes_no_csv(tmp_path, capsys, command, o
     assert not out.exists()
 
 
+# Zero noise, or a T**3 entry that underflows against T: no Cholesky factor, so no filter can run.
+DEGENERATE_PROCESS_NOISE = [
+    ("scenario.process_noise=0", r"\[scenario\] process_noise: must be positive"),
+    ("scenario.process_noise=0.0", r"\[scenario\] process_noise: must be positive"),
+    ("scenario.process_noise=-0.0", r"\[scenario\] process_noise: must be positive"),
+    ("scenario.sample_time_s=1e-300", r"\[scenario\] sample_time_s: .*; process_noise also shapes it"),
+    ("scenario.sample_time_s=1e-150", r"\[scenario\] sample_time_s: .*; process_noise also shapes it"),
+]
+
+
 @pytest.mark.parametrize("command", ["run", "table1"])
-@pytest.mark.parametrize("value", ["0", "0.0", "-0.0"])
-def test_zero_process_noise_exits_2_for_filtering_commands(tmp_path, capsys, command, value):
+@pytest.mark.parametrize("override, message", DEGENERATE_PROCESS_NOISE)
+def test_degenerate_process_noise_exits_2_for_filtering_commands(tmp_path, capsys, command, override, message):
     out = tmp_path / "out"
-    code = main([command, "--set", f"scenario.process_noise={value}", "--set", f"output.directory={out}"] + FAST_RUN)
+    code = main([command, "--set", override, "--set", f"output.directory={out}"] + FAST_RUN)
     assert code == 2
-    assert "[scenario] process_noise" in capsys.readouterr().err
+    assert re.search(message, capsys.readouterr().err)
     assert not out.exists()
 
 
-def test_zero_process_noise_is_accepted_by_crlb(tmp_path):
-    code = main(["crlb", "--set", "scenario.process_noise=0", "--set", f"output.directory={tmp_path}"])
+@pytest.mark.parametrize("override", ["scenario.process_noise=0", "scenario.sample_time_s=1e-300"])
+def test_degenerate_process_noise_is_accepted_by_crlb(tmp_path, override):
+    code = main(["crlb", "--set", override, "--set", f"output.directory={tmp_path}"])
     assert code == 0
     rows = [line.split(",") for line in read_lines(tmp_path / "crlb.csv")[2:]]
     assert len(rows) == 40 and all(math.isfinite(float(r[2])) for r in rows)

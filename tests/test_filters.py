@@ -115,7 +115,7 @@ def test_draws_consume_the_reference_rng_stream():
     poured = water_pour_continuous(GaussianPossibility(np.zeros(4), Q * options.proposal_inflation))
     _assert_same_stream(
         lambda rng: transition.propose(states, rng, options),
-        lambda rng: means + poured.sample(rng, n),
+        lambda rng: means + poured.deviation(rng, n),
     )
     _assert_same_stream(lambda rng: transition.sample_model(states, rng), gaussian(means, np.linalg.cholesky(Q)))
 
@@ -130,7 +130,7 @@ def test_draws_consume_the_reference_rng_stream():
 )
 def test_propagation_equals_broadcast_means_plus_sample(n, seed, offset, proposal, inflation):
     # The reference is the textbook expression: the means broadcast the
-    # offset over the rows, then the proposal's sample (mean zero) is added.
+    # offset over the rows, then the proposal's zero-mean deviation is added.
     F, Q = transition_matrix(40.0), process_noise_matrix(40.0, 1e-3)
     offset = np.asarray(offset)
     transition = LinearGaussianTransition(F, Q, offset)
@@ -139,9 +139,9 @@ def test_propagation_equals_broadcast_means_plus_sample(n, seed, offset, proposa
     options = PossibilityPFOptions(proposal=proposal, proposal_inflation=inflation)
     density = GaussianPossibility(np.zeros(4), Q * inflation)
     source = water_pour_continuous(density) if proposal == "max-entropy" else density
-    _assert_same_stream(lambda rng: transition.propose(states, rng, options), lambda rng: means + source.sample(rng, n))
+    _assert_same_stream(lambda rng: transition.propose(states, rng, options), lambda rng: means + source.deviation(rng, n))
     noise = GaussianPossibility(np.zeros(4), Q)
-    _assert_same_stream(lambda rng: transition.sample_model(states, rng), lambda rng: means + noise.sample(rng, n))
+    _assert_same_stream(lambda rng: transition.sample_model(states, rng), lambda rng: means + noise.deviation(rng, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 500])
@@ -201,6 +201,11 @@ def test_run_single_first_estimate_is_the_init_estimate(kind):
     np.testing.assert_array_equal(run_single(scenario, kind, n, seed).estimate_track[0], estimate[::2])
 
 
+def test_particle_set_rejects_a_count_mismatch():
+    with pytest.raises(ValueError, match="particle count"):
+        ParticleSet(np.zeros((3, 2)), np.ones(2))
+
+
 def test_init_rejects_zero_particles():
     with pytest.raises(ValueError):
         possibility_pf_init(GaussianPossibility([0.0], [[1.0]]), 0, np.random.default_rng(0))
@@ -234,9 +239,11 @@ def test_single_particle_tracks_deterministic_propagation():
         {"map_peak_cut": math.nan},
         {"map_peak_cut": math.inf},
         {"map_peak_cut": -0.1},
+        {"proposal": "uniform"},
+        {"transition_weighting": "uniform"},
     ],
 )
-def test_non_finite_options_rejected(knob):
+def test_invalid_options_rejected(knob):
     with pytest.raises(ValueError):
         PossibilityPFOptions(**knob)
 
@@ -310,6 +317,12 @@ def test_peak_set_representative_tie_breaks_to_first_index():
     states = np.array([[0.0], [1.0], [2.0]])
     log_w = np.array([0.0, 0.0, -5.0])
     assert peak_set_representative(states, log_w, 0.0) == 0
+
+
+def test_peak_set_representative_at_zero_cut_picks_the_most_central_tied_particle():
+    # At cut 0 the set is the tied peak {0, 1, 1.1}; its barycentre 0.7 is closest to 1.
+    states = np.array([[0.0], [1.0], [1.1]])
+    assert peak_set_representative(states, np.zeros(3), 0.0) == 1
 
 
 def test_resampling_only_draws_positive_weight_particles():

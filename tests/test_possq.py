@@ -58,6 +58,12 @@ def test_eval_dimension_mismatch():
         pi.log_eval([1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("spread", [np.eye(3), np.ones(2), [[1.0]]])
+def test_spread_must_match_the_mean(spread):
+    with pytest.raises(ValueError, match="must be 2x2"):
+        GaussianPossibility([0.0, 0.0], spread)
+
+
 def test_spread_must_be_positive_definite():
     with pytest.raises(ValueError):
         GaussianPossibility([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
@@ -254,7 +260,7 @@ def test_sampler_ks_against_analytic_cdf(mu, sigma):
     poured = water_pour_continuous(GaussianPossibility([mu], [[sigma**2]]))
     rng = np.random.default_rng(1234)
     n = 100_000
-    samples = poured.sample(rng, n)[:, 0]
+    samples = (poured.source.mean + poured.deviation(rng, n))[:, 0]
     result = stats.kstest(samples, lambda x: poured_cdf_1d(x, mu, sigma, poured.level, poured.plateau_radius))
     critical_1pct = 1.62762 / math.sqrt(n)
     assert result.statistic < critical_1pct
@@ -264,7 +270,7 @@ def test_sampler_plateau_mass_one_stays_inside_ellipsoid():
     pi = GaussianPossibility([1.0, -2.0], np.diag([2.0, 3.0]))
     degenerate = WaterPouredDensity(pi, level=0.2, plateau_radius=1.5, plateau_mass=1.0)
     rng = np.random.default_rng(5)
-    samples = degenerate.sample(rng, 5000)
+    samples = pi.mean + degenerate.deviation(rng, 5000)
     assert np.all(-2.0 * pi.log_eval(samples) <= 1.5**2 + 1e-12)
 
 
@@ -272,7 +278,7 @@ def test_sampler_boundary_level_one_is_gaussian_shaped():
     sigma = 1.0 / math.sqrt(2.0 * math.pi)
     poured = water_pour_continuous(GaussianPossibility([0.0], [[sigma**2]]))
     rng = np.random.default_rng(11)
-    samples = poured.sample(rng, 50_000)[:, 0]
+    samples = poured.deviation(rng, 50_000)[:, 0]
     assert abs(samples.mean()) < 4 * sigma / math.sqrt(50_000)
     assert samples.std() == pytest.approx(sigma, rel=0.02)
 
@@ -282,7 +288,7 @@ def test_sampler_mean_symmetric_2d():
     poured = water_pour_continuous(pi)
     rng = np.random.default_rng(99)
     n = 100_000
-    samples = poured.sample(rng, n)
+    samples = pi.mean + poured.deviation(rng, n)
     se = samples.std(axis=0) / math.sqrt(n)
     assert np.all(np.abs(samples.mean(axis=0) - pi.mean) < 4 * se)
 
@@ -298,7 +304,7 @@ def test_deviation_equals_the_row_major_product_bit_for_bit(n):
 
 def test_sample_water_poured_function_shape():
     poured = water_pour_continuous(GaussianPossibility([0.0, 0.0], np.eye(2) * 2.0))
-    out = poured.sample(np.random.default_rng(0), 7)
+    out = poured.deviation(np.random.default_rng(0), 7)
     assert out.shape == (7, 2)
 
 
@@ -490,8 +496,8 @@ def test_discrete_permutation_equivariance(weights, rnd):
 @pytest.mark.parametrize(
     "draw, name",
     [
-        (lambda rng, size: GaussianPossibility([0.0], [[1.0]]).sample(rng, size), "size"),
-        (lambda rng, size: water_pour_continuous(GaussianPossibility([0.0, 0.0], np.eye(2))).sample(rng, size), "size"),
+        (lambda rng, size: GaussianPossibility([0.0], [[1.0]]).deviation(rng, size), "size"),
+        (lambda rng, size: water_pour_continuous(GaussianPossibility([0.0, 0.0], np.eye(2))).deviation(rng, size), "size"),
         (lambda rng, size: sample_discrete(np.array([0.25, 0.75]), rng, size), "count"),
     ],
     ids=["gaussian", "water-poured", "discrete"],

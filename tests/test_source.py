@@ -1,4 +1,5 @@
-"""Source hygiene: the library states its checks as exceptions, never as ``assert``.
+"""Source hygiene: the library states its checks as exceptions, never as ``assert``,
+and its docstrings cross-reference only names that exist.
 
 ``python -O`` strips ``assert`` statements, so a check written as one
 vanishes exactly where nobody watches: a failed precondition then runs on
@@ -6,6 +7,8 @@ with wrong numbers instead of stopping with a message.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "posspf").glob("*.py"))
@@ -20,3 +23,42 @@ def test_no_assert_statement_in_library_code():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in library code: {found}"
+
+
+ROLE = re.compile(r":(func|class|meth):`~?([\w.]+)`")
+
+
+def _docstrings(node, cls=None):
+    """(docstring, enclosing class name or None) for a node and every class and def under it."""
+    if isinstance(node, ast.ClassDef):
+        cls = node.name
+    if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        doc = ast.get_docstring(node, clean=False)
+        if doc:
+            yield doc, cls
+    for child in ast.iter_child_nodes(node):
+        yield from _docstrings(child, cls)
+
+
+def _resolves(scope, dotted: str) -> bool:
+    for name in dotted.split("."):
+        if not hasattr(scope, name):
+            return False
+        scope = getattr(scope, name)
+    return True
+
+
+def test_docstring_cross_references_resolve():
+    # A reference names a module attribute or Class.attr; a bare :meth: may
+    # also name an attribute of the class whose docstring holds it.
+    seen, stale = 0, []
+    for path in SOURCES:
+        module = importlib.import_module("posspf" if path.stem == "__init__" else f"posspf.{path.stem}")
+        for doc, cls in _docstrings(ast.parse(path.read_text(), filename=str(path))):
+            for role, target in ROLE.findall(doc):
+                seen += 1
+                scopes = [module] + ([getattr(module, cls)] if role == "meth" and cls and "." not in target else [])
+                if not any(_resolves(scope, target) for scope in scopes):
+                    stale.append(f"{path.name}: :{role}:`{target}`")
+    assert seen, "no cross-references found: the pattern no longer matches the docstrings"
+    assert not stale, f"docstring references to names that do not exist: {stale}"

@@ -365,6 +365,11 @@ def test_bearing_jacobian_due_north():
     np.testing.assert_allclose(H, [1e-4, 0.0, 0.0, 0.0], atol=1e-15)
 
 
+def test_bearing_jacobian_at_zero_range_raises():
+    with pytest.raises(ValueError, match="zero range"):
+        bearing_jacobian(np.array([0.0, 3.0, 0.0, -1.0]))
+
+
 def test_crlb_canonical_curve_finite_and_improving():
     scenario = build_canonical_scenario()
     rel = nominal_target_track(scenario) - scenario.observer
