@@ -45,6 +45,11 @@ from .tma import (
 
 DIVERGENCE_THRESHOLD_M = 1000.0
 
+# Smallest Student-t dof accepted.  Below about 0.05 a chi-square draw can
+# underflow to 0 and make a bearing infinite; at 0.2 the chance per draw is
+# about (2.5e-324)**0.1 / Gamma(1.1) = 5e-33.
+MIN_NOISE_DOF = 0.2
+
 FILTER_POSSIBILITY = "possibility"
 FILTER_STANDARD = "standard"
 
@@ -76,7 +81,8 @@ class NoiseModel:
     """Measurement noise generator: zero-mean Student-t, Gaussian at ``nu = inf``.
 
     Student-t draws are Gaussian over the square root of a scaled
-    chi-square; ``nu = inf`` draws the Gaussian alone.
+    chi-square; ``nu = inf`` draws the Gaussian alone.  ``nu`` is at least
+    ``MIN_NOISE_DOF``.
     """
 
     sigma: float
@@ -85,8 +91,8 @@ class NoiseModel:
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
             raise ValueError("noise sigma must be positive and finite")
-        if not self.nu > 0:
-            raise ValueError("noise degrees of freedom must be positive (inf is Gaussian)")
+        if not self.nu >= MIN_NOISE_DOF:
+            raise ValueError(f"noise degrees of freedom must be at least {MIN_NOISE_DOF} (inf is Gaussian)")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         draws = self.sigma * rng.standard_normal(size)
@@ -112,7 +118,6 @@ class Scenario:
     q: float
     true_noise: NoiseModel
     filter_sigma: float
-    deterministic_target: bool = False
 
     @property
     def scan_count(self) -> int:
@@ -169,7 +174,6 @@ def build_canonical_scenario(
     noise_sigma_deg: float = 1.0,
     noise_nu: float = math.inf,
     filter_sigma_deg: float = 1.0,
-    deterministic_target: bool = False,
 ) -> Scenario:
     """Canonical bearings-only engagement; every default can be overridden.
 
@@ -211,7 +215,6 @@ def build_canonical_scenario(
         q=float(q),
         true_noise=NoiseModel(np.deg2rad(noise_sigma_deg), float(noise_nu)),
         filter_sigma=np.deg2rad(filter_sigma_deg),
-        deterministic_target=bool(deterministic_target),
     )
 
 
@@ -226,8 +229,8 @@ def nominal_target_track(scenario: Scenario) -> np.ndarray:
 
 
 def sample_target_track(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """Target trajectory realisation; adds process noise unless deterministic."""
-    if scenario.deterministic_target or scenario.q == 0:
+    """Target trajectory realisation; adds process noise unless q = 0."""
+    if scenario.q == 0:
         return nominal_target_track(scenario)
     F = transition_matrix(scenario.T)
     noise = GaussianPossibility(np.zeros(4), process_noise_matrix(scenario.T, scenario.q))
@@ -436,18 +439,18 @@ def table1_experiment(
     share one worker pool, which is shut down before this returns or raises.
     """
     n_grid = [whole_count("n_grid entry", n) for n in n_grid]
+    noises = [NoiseModel(scenario.true_noise.sigma, float(nu)) for nu in nu_grid]
     workers = _workers(parallelism, whole_count("runs", runs))
     cells = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for filter_kind, n, nu in itertools.product((FILTER_STANDARD, FILTER_POSSIBILITY), n_grid, nu_grid):
-            nu = float(nu)
-            noisy = dataclasses.replace(scenario, true_noise=NoiseModel(scenario.true_noise.sigma, nu))
+        for filter_kind, n, noise in itertools.product((FILTER_STANDARD, FILTER_POSSIBILITY), n_grid, noises):
+            noisy = dataclasses.replace(scenario, true_noise=noise)
             batch = run_batch(noisy, filter_kind, n, runs, base_seed, parallelism, prior, options, pool=pool)
             cells.append(
                 Table1Cell(
                     filter_kind=filter_kind,
                     n=n,
-                    nu=nu,
+                    nu=noise.nu,
                     runs=runs,
                     divergent_pct=batch.divergence_pct,
                     wilson_lo_pct=batch.wilson_lo_pct,

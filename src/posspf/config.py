@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .bench import Scenario, build_canonical_scenario
+from .bench import MIN_NOISE_DOF, Scenario, build_canonical_scenario
 from .filters import LinearGaussianTransition, PossibilityPFOptions
 from .tma import PriorConfig, process_noise_matrix, transition_matrix
 
@@ -29,9 +29,6 @@ DEGREE = math.pi / 180.0  # radians
 
 class ConfigError(ValueError):
     """Invalid configuration: unreadable file, bad syntax, or bad value."""
-
-
-_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True, "false": False, "no": False, "off": False, "0": False}
 
 
 def _numbers(raw: str) -> list[float]:
@@ -45,7 +42,6 @@ def _numbers(raw: str) -> list[float]:
 PARSERS: dict[str, Callable[[str], Any]] = {
     "a number": float,
     "an integer": int,
-    "a boolean": lambda raw: _BOOLEANS[raw.strip().lower()],
     "comma-separated numbers": _numbers,
     "text": str.strip,
 }
@@ -60,7 +56,7 @@ class Domain:
 FINITE = Domain("finite", math.isfinite)
 POSITIVE = Domain("positive and finite", lambda x: 0 < x < math.inf)
 NONNEGATIVE = Domain("nonnegative and finite", lambda x: 0 <= x < math.inf)
-POSITIVE_OR_INF = Domain("positive (inf allowed)", lambda x: x > 0)  # NaN fails
+NOISE_DOF = Domain(f"at least {MIN_NOISE_DOF} (inf allowed)", lambda x: x >= MIN_NOISE_DOF)  # NaN fails
 
 
 def at_least(k: int) -> Domain:
@@ -103,9 +99,8 @@ KEYS: dict[str, dict[str, Key]] = {
         "observer_leg_scans":    Key("10", "an integer", at_least(1)),
         "noise":                 Key("gaussian", "text", one_of("gaussian", "student-t")),
         "noise_sigma_deg":       Key("1.0", "a number", POSITIVE),
-        "noise_dof":             Key("inf", "a number", POSITIVE_OR_INF),
+        "noise_dof":             Key("inf", "a number", NOISE_DOF),
         "process_noise":         Key("1e-3", "a number", NONNEGATIVE),     # run and table1 need > 0
-        "deterministic_target":  Key("false", "a boolean", Domain("true/yes/on/1 or false/no/off/0", lambda b: True)),
     },
     "filter": {
         "kind":                    Key("possibility", "text", one_of("possibility", "standard")),
@@ -127,7 +122,7 @@ KEYS: dict[str, dict[str, Key]] = {
                            Domain(f"whole numbers from 1 to {MAX_PARTICLES}",
                                   lambda xs: all(1 <= x <= MAX_PARTICLES and x.is_integer() for x in xs))),
         "nu_grid":     Key("3, 5, 8, inf", "comma-separated numbers",
-                           Domain("positive (inf allowed)", lambda xs: all(x > 0 for x in xs))),
+                           Domain(NOISE_DOF.text, lambda xs: all(map(NOISE_DOF.holds, xs)))),
     },
     "output": {
         "directory": Key(".", "text", Domain("a non-empty path", bool)),
@@ -195,7 +190,6 @@ class Config:
                 noise_sigma_deg=s["noise_sigma_deg"],
                 noise_nu=s["noise_dof"] if s["noise"] == "student-t" else math.inf,
                 filter_sigma_deg=self.parsed["filter"]["sigma_deg"],
-                deterministic_target=s["deterministic_target"],
             )
         except ValueError as exc:
             # Every key is in its domain, so only the observer track as a whole
@@ -270,7 +264,7 @@ def _parse(section: str, key: str, raw: str, key_lines) -> Any:
     row = KEYS[section][key]
     try:
         value = PARSERS[row.parser](raw)
-    except (KeyError, ValueError):
+    except ValueError:
         raise _error(section, key, key_lines, f"expected {row.parser}, got {raw!r}") from None
     if not row.domain.holds(value):
         raise _error(section, key, key_lines, f"must be {row.domain.text}, got {raw!r}")

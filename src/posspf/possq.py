@@ -114,6 +114,9 @@ class WaterPouredDensity:
         radius from a chi-square conditioned beyond the plateau, inverted
         through the survival function for tail accuracy).
         """
+        # Local import: scipy is needed only by the max-entropy proposal.
+        from scipy.special import chdtrc, chdtri
+
         d = self.source.dim
         n = whole_count("size", size, 0)
         u = rng.random(n)
@@ -125,17 +128,11 @@ class WaterPouredDensity:
         norms[norms == 0.0] = 1.0
         directions = g / norms[:, None]
 
+        # An empty part draws nothing: rng.random(0) leaves the stream as it is.
         radii = np.empty(n)
-        if k:
-            radii[on_plateau] = self.plateau_radius * rng.random(k) ** (1.0 / d)
-        m = n - k
-        if m:
-            # Local import: scipy is needed only by the max-entropy proposal.
-            from scipy.special import chdtrc, chdtri
-
-            sf_r = chdtrc(d, self.plateau_radius**2)
-            t = chdtri(d, rng.random(m) * sf_r)
-            radii[~on_plateau] = np.sqrt(t)
+        radii[on_plateau] = self.plateau_radius * rng.random(k) ** (1.0 / d)
+        sf_r = chdtrc(d, self.plateau_radius**2)
+        radii[~on_plateau] = np.sqrt(chdtri(d, rng.random(n - k) * sf_r))
 
         # (L @ x.T).T equals x @ L.T bit for bit, for row- and column-major x.
         return (self.source.chol @ (radii[:, None] * directions).T).T

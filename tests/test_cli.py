@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from posspf.bench import build_canonical_scenario, run_batch, scenario_crlb
 from posspf.cli import main
-from posspf.config import KEYS, KNOT, ConfigError, load_config
+from posspf.config import KEYS, KNOT, PARSERS, ConfigError, load_config
 from posspf.filters import PossibilityPFOptions
 from posspf.tma import PriorConfig
 
@@ -60,9 +60,7 @@ def test_config_defaults_are_the_library_defaults():
     got, want = cfg.scenario(), build_canonical_scenario()
     for name in ("observer", "target_init"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-    assert (got.T, got.q, got.true_noise, got.filter_sigma, got.deterministic_target) == (
-        want.T, want.q, want.true_noise, want.filter_sigma, want.deterministic_target
-    )
+    assert (got.T, got.q, got.true_noise, got.filter_sigma) == (want.T, want.q, want.true_noise, want.filter_sigma)
     assert cfg.prior() == PriorConfig()
     assert cfg.filter_options() == PossibilityPFOptions()
 
@@ -77,8 +75,9 @@ def test_missing_file_is_config_error(tmp_path):
     [
         ("[scenario]\nscans = 20\nwarp = 9\n", r"warp.*line 3"),
         ("[filter]\ninit_covariance = swapped\n", r"^\[filter\] init_covariance \(line 2\): unknown key$"),
+        ("[scenario]\ndeterministic_target = true\n", r"^\[scenario\] deterministic_target \(line 2\): unknown key$"),
     ],
-    ids=["never-a-key", "removed-key"],
+    ids=["never-a-key", "removed-key", "removed-boolean-key"],
 )
 def test_unknown_key_names_key_and_line(tmp_path, text, message):
     path = tmp_path / "bad.ini"
@@ -137,10 +136,10 @@ def _perfbench_workloads():
 # config_hash headers of the defaults and of the benchmark's workloads: the
 # default texts and the hashed form must not move, or every CSV header does.
 PINNED_HASHES = {
-    None: "1dcf7a0f785c",
-    "mc-poss-n5000": "a3b42d0267f4",
-    "mc-std-n5000-t3": "c1dc23d5b2b8",
-    "grid-n500-par2": "6de8171c5a07",
+    None: "b8df8a22b5f7",
+    "mc-poss-n5000": "a5ffc98c7d78",
+    "mc-std-n5000-t3": "3d93902a9d10",
+    "grid-n500-par2": "d070d3567890",
 }
 
 
@@ -204,7 +203,8 @@ def test_every_key_is_checked_even_by_commands_that_do_not_read_it(tmp_path, cap
 
 
 def test_table_has_every_key_once():
-    assert sum(len(rows) for rows in KEYS.values()) == 30
+    assert sum(len(rows) for rows in KEYS.values()) == 29
+    assert {row.parser for rows in KEYS.values() for row in rows.values()} == set(PARSERS)
     cfg = load_config(None)
     assert {s: set(k) for s, k in cfg.values.items()} == {s: set(rows) for s, rows in KEYS.items()}
 
@@ -523,7 +523,6 @@ def assert_finite_cells(out):
                     assert math.isfinite(float(cell)) or (name == "nu" and cell == "inf"), (path.name, line)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(command=st.sampled_from(["run", "table1", "crlb"]), overrides=FUZZ_OVERRIDES)
 @example(command="crlb", overrides={"scenario.process_noise": "1e300"})
