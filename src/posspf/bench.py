@@ -38,6 +38,7 @@ from .tma import (
     bearings_of,
     crlb_curve,
     init_prior,
+    prior_spread,
     process_noise_matrix,
     transition_matrix,
     wrap_angle,
@@ -139,8 +140,8 @@ class Scenario:
         scale = max(1.0, np.abs(obs[:, [0, 2]]).max())
         if np.abs(gaps_x).max() > 1e-9 * scale or np.abs(gaps_y).max() > 1e-9 * scale:
             raise ValueError("observer positions inconsistent with piecewise-CV motion")
-        if not 0 <= self.q < math.inf:
-            raise ValueError("process noise intensity must be nonnegative and finite")
+        if not 0 < self.q < math.inf:
+            raise ValueError("process noise intensity must be positive and finite")
         if not 0 < self.filter_sigma < math.inf:
             raise ValueError("filter sigma must be positive and finite")
         target = np.asarray(self.target_init, dtype=float)
@@ -229,9 +230,7 @@ def nominal_target_track(scenario: Scenario) -> np.ndarray:
 
 
 def sample_target_track(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """Target trajectory realisation; adds process noise unless q = 0."""
-    if scenario.q == 0:
-        return nominal_target_track(scenario)
+    """Target trajectory realisation with process noise."""
     F = transition_matrix(scenario.T)
     noise = GaussianPossibility(np.zeros(4), process_noise_matrix(scenario.T, scenario.q))
     track = np.empty((scenario.scan_count, 4))
@@ -469,8 +468,8 @@ def scenario_crlb(scenario: Scenario, prior: PriorConfig = PriorConfig()):
     rel = nominal_target_track(scenario) - scenario.observer
     z1 = bearings_of(rel[:1])[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        prior_poss = init_prior(z1, scenario.observer[0, [1, 3]], scenario.filter_sigma, prior)
-        result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior_poss)
+        P1 = prior_spread(z1, scenario.filter_sigma, prior)
+        result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, P1)
     bad = np.flatnonzero(~np.isfinite(result.position_bound))
     if bad.size:
         raise ValueError(

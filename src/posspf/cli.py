@@ -11,8 +11,7 @@ crlb    Position-bound reference curve; writes crlb.csv.
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.  Every
 config key is checked against its domain when the config loads, so any
 bad value exits 2 naming ``[section] key`` before a command starts, even
-a key the command does not read, and counts beyond their budgets; run
-and table1 also reject process_noise = 0, which only crlb accepts.
+a key the command does not read, and counts beyond their budgets.
 ``main`` computes the bound curve before any command starts, and
 ``scenario_crlb`` raises when it is not finite at some scan, so that case
 exits 1 and writes no CSV, on every command.  Outputs are byte-identical
@@ -149,7 +148,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         # Scenario, prior, then bound, for every command before it runs or writes anything.
-        scenario = cfg.scenario(filtering=args.command != "crlb")
+        scenario = cfg.scenario()
         prior = cfg.prior()
         return COMMANDS[args.command][0](cfg, scenario, prior, scenario_crlb(scenario, prior).position_bound)
     except ConfigError as exc:

@@ -100,7 +100,7 @@ KEYS: dict[str, dict[str, Key]] = {
         "noise":                 Key("gaussian", "text", one_of("gaussian", "student-t")),
         "noise_sigma_deg":       Key("1.0", "a number", POSITIVE),
         "noise_dof":             Key("inf", "a number", NOISE_DOF),
-        "process_noise":         Key("1e-3", "a number", NONNEGATIVE),     # run and table1 need > 0
+        "process_noise":         Key("1e-3", "a number", POSITIVE),
     },
     "filter": {
         "kind":                    Key("possibility", "text", one_of("possibility", "standard")),
@@ -153,25 +153,17 @@ class Config:
             self._fail(section, key, f"must be {domain.text} in SI units, got {value!r}")
         return value
 
-    def scenario(self, filtering: bool = False) -> Scenario:
-        """The configured scenario.
-
-        ``filtering=True`` is for commands that run a filter: its transition
-        noise must be nondegenerate, so process_noise = 0 is rejected here,
-        and so is a sampling interval whose noise matrix is singular in
-        floating point.  The bound alone (``crlb``) accepts both.
-        """
+    def scenario(self) -> Scenario:
+        """The configured scenario; a process noise matrix that is singular or
+        not finite in floating point fails here, naming sample_time_s."""
         s = self.parsed["scenario"]
         T, q = s["sample_time_s"], s["process_noise"]
-        if filtering:
-            if q == 0:
-                self._fail("scenario", "process_noise", "must be positive to run a filter (only crlb accepts 0)")
-            try:  # the transition run_single builds; an overflowing T**3 is left to the bound
-                with np.errstate(over="ignore"):
-                    LinearGaussianTransition(transition_matrix(T), process_noise_matrix(T, q))
-            except ValueError as exc:
-                self._fail("scenario", "sample_time_s", f"gives a process noise matrix that cannot run a filter "
-                           f"({exc}); process_noise also shapes it (only crlb accepts this)")
+        try:  # the transition run_single builds
+            with np.errstate(over="ignore"):
+                LinearGaussianTransition(transition_matrix(T), process_noise_matrix(T, q))
+        except ValueError as exc:
+            self._fail("scenario", "sample_time_s", f"gives a process noise matrix that cannot run a filter "
+                       f"({exc}); process_noise also shapes it")
         range_m = self._si("scenario", "target_range_km", 1e3)
         self._si("scenario", "noise_sigma_deg", DEGREE)  # the library converts to radians
         self._si("filter", "sigma_deg", DEGREE)

@@ -253,7 +253,7 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     n = weights.shape[0]
     positions = (rng.random() + np.arange(n)) / n
     cum = np.cumsum(weights)
-    cum[-1] = 1.0
+    cum[-1] = np.inf  # a last position that rounds up to 1.0 still picks the last particle
     return np.searchsorted(cum, positions, side="right")
 
 

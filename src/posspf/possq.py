@@ -42,8 +42,8 @@ class GaussianPossibility:
     mean : array_like, shape (d,)
         Location of the peak.
     spread : array_like, shape (d, d)
-        Symmetric positive-definite shape matrix (the analogue of a
-        covariance).  Checked by Cholesky factorisation at construction.
+        Finite symmetric positive-definite shape matrix (the analogue of a
+        covariance).  Checked at construction.
     """
 
     __slots__ = ("mean", "spread", "chol")
@@ -56,6 +56,8 @@ class GaussianPossibility:
             raise ValueError(
                 f"spread must be {d}x{d} to match the mean, got {self.spread.shape}"
             )
+        if not np.isfinite(self.spread).all():  # Cholesky passes inf and NaN through
+            raise ValueError("spread matrix is not finite")
         try:
             self.chol = np.linalg.cholesky(self.spread)
         except np.linalg.LinAlgError as exc:

@@ -39,7 +39,7 @@ def process_noise_matrix(T: float, q: float) -> np.ndarray:
     if not 0 < T < np.inf:
         raise ValueError(f"sampling interval T must be positive and finite, got {T!r}")
     if not 0 < q < np.inf:
-        raise ValueError(f"process noise intensity q must be positive and finite for filtering, got {q!r}")
+        raise ValueError(f"process noise intensity q must be positive and finite, got {q!r}")
     T = np.float64(T)  # its ** gives inf where a Python float's raises OverflowError
     block = q * np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
     Q = np.zeros((4, 4))
@@ -70,9 +70,9 @@ def bearing_log_likelihood(states: np.ndarray, z: float, sigma: float) -> np.nda
         # negative t, so one shift gives wrap_angle's (pi - res) % 2pi bit
         # for bit, and pi minus it is wrap_angle(res) up to the sign of zero.
         t = np.subtract(np.pi, res, out=res)
-        below, above = t < 0.0, t >= 2.0 * np.pi
-        np.add(t, 2.0 * np.pi, out=t, where=below)
-        np.subtract(t, 2.0 * np.pi, out=t, where=above)
+        shift = np.where(t < 0.0, 2.0 * np.pi, 0.0)
+        shift -= np.where(t >= 2.0 * np.pi, 2.0 * np.pi, 0.0)
+        t += shift
         res = np.subtract(np.pi, t, out=t)
     else:
         res = wrap_angle(res)
@@ -95,26 +95,15 @@ class PriorConfig:
             raise ValueError("prior scale parameters must be positive and finite")
 
 
-def init_prior(
-    z1: float,
-    observer_vel: tuple[float, float],
-    sigma: float,
-    prior: PriorConfig = PriorConfig(),
-) -> GaussianPossibility:
-    """Prior over the relative state built from the first bearing measurement.
-
-    Mean: target placed at range ``prior.range_mean`` along the measured
-    bearing, relative velocity equal to minus the observer velocity.  The
-    position covariance combines the range variance along the line of sight
-    with the cross-range variance (range_mean * sigma)^2, ``sigma`` being the
-    bearing noise scale.
+def prior_spread(z1: float, sigma: float, prior: PriorConfig = PriorConfig()) -> np.ndarray:
+    """Spread of the :func:`init_prior` prior: its position block combines the
+    range variance along the line of sight with the cross-range variance
+    (range_mean * sigma)^2, ``sigma`` being the bearing noise scale.
     """
     if not 0 < sigma < np.inf:
         raise ValueError("bearing sigma must be positive and finite")
 
     s, c = np.sin(z1), np.cos(z1)
-    mean = np.array([prior.range_mean * s, -observer_vel[0], prior.range_mean * c, -observer_vel[1]])
-
     # numpy's ** gives inf (which the bound reports) where a Python float's
     # raises OverflowError; both call the same pow, so the bits agree.
     range_var = np.float64(prior.range_sigma) ** 2
@@ -126,7 +115,23 @@ def init_prior(
     vel_var = np.float64(prior.vel_sigma) ** 2
     P = np.diag([var_x, vel_var, var_y, vel_var])
     P[0, 2] = P[2, 0] = cov_xy
-    return GaussianPossibility(mean, P)
+    return P
+
+
+def init_prior(
+    z1: float,
+    observer_vel: tuple[float, float],
+    sigma: float,
+    prior: PriorConfig = PriorConfig(),
+) -> GaussianPossibility:
+    """Prior over the relative state built from the first bearing measurement.
+
+    Mean: target placed at range ``prior.range_mean`` along the measured
+    bearing, relative velocity equal to minus the observer velocity.  Spread:
+    :func:`prior_spread`.
+    """
+    mean = [prior.range_mean * np.sin(z1), -observer_vel[0], prior.range_mean * np.cos(z1), -observer_vel[1]]
+    return GaussianPossibility(mean, prior_spread(z1, sigma, prior))
 
 
 def bearing_jacobian(rel_state: np.ndarray) -> np.ndarray:
@@ -151,7 +156,7 @@ def crlb_curve(
     T: float,
     q: float,
     sigma: float,
-    prior: GaussianPossibility,
+    spread: np.ndarray,
 ) -> CrlbResult:
     """Recursive Cramer-Rao bound along a known relative trajectory.
 
@@ -159,12 +164,12 @@ def crlb_curve(
     J_k = [F J_{k-1}^-1 F' + Q]^-1 + H_k' H_k / sigma^2 (Tichavsky, Muravchik
     & Nehorai 1998): predict P = F P F' + Q, then a scalar-gain Joseph-form
     update with H_k the bearing gradient at the true relative state.  P_1 is
-    the prior spread.  Nothing is inverted, so large finite q stays finite.
+    ``spread``, the prior's.  Nothing is inverted, so large finite q stays finite.
     """
     F = transition_matrix(T)
-    Q = process_noise_matrix(T, q) if q > 0 else np.zeros((4, 4))
+    Q = process_noise_matrix(T, q)
     bounds = np.empty((true_relative.shape[0], 4, 4))
-    bounds[0] = P = prior.spread
+    bounds[0] = P = spread
     for k in range(1, len(bounds)):
         P = F @ P @ F.T + Q
         H = bearing_jacobian(true_relative[k])

@@ -167,13 +167,13 @@ def test_student_t_heavy_tails_widen_spread():
     assert draws.std() > 1.5 * sigma
 
 
-def test_target_track_process_noise_toggle():
+def test_sampled_target_track_carries_process_noise():
     s = build_canonical_scenario()
     nominal = nominal_target_track(s)
     noisy = sample_target_track(s, np.random.default_rng(3))
     assert not np.allclose(noisy, nominal)
-    sd = dataclasses.replace(s, q=0.0)
-    np.testing.assert_array_equal(sample_target_track(sd, np.random.default_rng(3)), nominal)
+    with pytest.raises(ValueError, match="process noise intensity must be positive"):
+        dataclasses.replace(s, q=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,22 @@ def test_systematic_resample_uniform_weights_is_identity_permutation():
     np.testing.assert_array_equal(np.sort(idx), np.arange(n))
 
 
+class LastPositionRng:
+    """A generator whose uniform draw is the largest double below 1."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize("n", [2, 7, 5000])
+def test_systematic_resample_keeps_a_last_position_rounding_to_1_in_range(n):
+    """(r + n - 1) / n rounds to 1.0 here, past every cumulative weight but the last."""
+    idx = systematic_resample(np.full(n, 1.0 / n), LastPositionRng())
+    assert (1.0 - 2.0**-53 + n - 1) / n == 1.0
+    assert idx.min() >= 0 and idx[-1] == n - 1
+    assert np.all(np.diff(idx) >= 0)
+
+
 def test_all_weights_zero_raises():
     transition = LinearGaussianTransition([[1.0]], [[1.0]])
     ps = ParticleSet(np.zeros((5, 1)), np.full(5, 1.0))

@@ -24,7 +24,7 @@ from posspf.config import load_config
 
 for overrides in {runs}:
     cfg = load_config(None, ["filter.particles=50", "scenario.scans=12", "scenario.observer_leg_scans=3", *overrides])
-    posspf.run_single(cfg.scenario(filtering=True), cfg.filter_kind(), cfg.particles(), 1, cfg.prior(), cfg.filter_options())
+    posspf.run_single(cfg.scenario(), cfg.filter_kind(), cfg.particles(), 1, cfg.prior(), cfg.filter_options())
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 

@@ -69,6 +69,15 @@ def test_spread_must_be_positive_definite():
         GaussianPossibility([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
 
+@pytest.mark.parametrize(
+    "spread", [[[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]], [[1.0, 0.0], [0.0, -math.inf]]]
+)
+def test_spread_must_be_finite(spread):
+    """Cholesky factorises a spread with an inf or NaN entry without error."""
+    with pytest.raises(ValueError, match="spread matrix is not finite"):
+        GaussianPossibility([0.0, 0.0], spread)
+
+
 def test_eval_vectorised_matches_scalar():
     pi = GaussianPossibility([1.0, -1.0], [[2.0, 0.3], [0.3, 1.0]])
     pts = np.array([[0.0, 0.0], [1.0, -1.0], [3.0, 2.0]])
