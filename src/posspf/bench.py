@@ -16,7 +16,7 @@ import math
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -102,6 +102,10 @@ class NoiseModel:
         return draws
 
 
+class ProcessNoiseError(ValueError):
+    """A process noise matrix that is not finite and positive definite in floating point."""
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One simulated engagement: observer, target, CV dynamics, noise models.
@@ -119,6 +123,8 @@ class Scenario:
     q: float
     true_noise: NoiseModel
     filter_sigma: float
+    # One scan's zero-mean move, from T and q, for the truth and the filters alike.
+    process_noise: GaussianPossibility = field(init=False, repr=False, compare=False)
 
     @property
     def scan_count(self) -> int:
@@ -127,6 +133,14 @@ class Scenario:
     def __post_init__(self):
         if not 0 < self.T < math.inf:
             raise ValueError("sampling interval must be positive and finite")
+        if not 0 < self.q < math.inf:
+            raise ValueError("process noise intensity must be positive and finite")
+        try:
+            with np.errstate(over="ignore"):  # an overflowing T**3 entry is refused as not finite
+                noise = GaussianPossibility(np.zeros(4), process_noise_matrix(self.T, self.q))
+        except ValueError as exc:
+            raise ProcessNoiseError(f"process noise matrix is not finite and positive definite: {exc}") from exc
+        object.__setattr__(self, "process_noise", noise)
         obs = np.asarray(self.observer, dtype=float)
         object.__setattr__(self, "observer", obs)
         if obs.ndim != 2 or obs.shape[1] != 4:
@@ -140,8 +154,6 @@ class Scenario:
         scale = max(1.0, np.abs(obs[:, [0, 2]]).max())
         if np.abs(gaps_x).max() > 1e-9 * scale or np.abs(gaps_y).max() > 1e-9 * scale:
             raise ValueError("observer positions inconsistent with piecewise-CV motion")
-        if not 0 < self.q < math.inf:
-            raise ValueError("process noise intensity must be positive and finite")
         if not 0 < self.filter_sigma < math.inf:
             raise ValueError("filter sigma must be positive and finite")
         target = np.asarray(self.target_init, dtype=float)
@@ -232,11 +244,10 @@ def nominal_target_track(scenario: Scenario) -> np.ndarray:
 def sample_target_track(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     """Target trajectory realisation with process noise."""
     F = transition_matrix(scenario.T)
-    noise = GaussianPossibility(np.zeros(4), process_noise_matrix(scenario.T, scenario.q))
     track = np.empty((scenario.scan_count, 4))
     track[0] = scenario.target_init
     for k in range(1, scenario.scan_count):
-        track[k] = F @ track[k - 1] + noise.deviation(rng, 1)[0]
+        track[k] = F @ track[k - 1] + scenario.process_noise.deviation(rng, 1)[0]
     return track
 
 
@@ -288,7 +299,7 @@ def run_single(
     obs = scenario.observer
     prior_poss = init_prior(z[0], obs[0, [1, 3]], scenario.filter_sigma, prior)
     F = transition_matrix(scenario.T)
-    transition = LinearGaussianTransition(F, process_noise_matrix(scenario.T, scenario.q))
+    transition = LinearGaussianTransition(F, scenario.process_noise)
     # Looked up per run, so a patched module attribute is the one bound.
     log_lik = partial(bearing_log_likelihood, sigma=scenario.filter_sigma)
 

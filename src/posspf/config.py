@@ -17,11 +17,9 @@ import re
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
-import numpy as np
-
-from .bench import MIN_NOISE_DOF, Scenario, build_canonical_scenario
-from .filters import LinearGaussianTransition, PossibilityPFOptions
-from .tma import PriorConfig, process_noise_matrix, transition_matrix
+from .bench import MIN_NOISE_DOF, ProcessNoiseError, Scenario, build_canonical_scenario
+from .filters import PossibilityPFOptions
+from .tma import PriorConfig
 
 KNOT = 1852.0 / 3600.0  # metres per second
 DEGREE = math.pi / 180.0  # radians
@@ -154,23 +152,16 @@ class Config:
         return value
 
     def scenario(self) -> Scenario:
-        """The configured scenario; a process noise matrix that is singular or
-        not finite in floating point fails here, naming sample_time_s."""
+        """The configured scenario; a process noise matrix, or that matrix times proposal_inflation,
+        that is not finite and positive definite fails here naming sample_time_s or proposal_inflation."""
         s = self.parsed["scenario"]
-        T, q = s["sample_time_s"], s["process_noise"]
-        try:  # the transition run_single builds
-            with np.errstate(over="ignore"):
-                LinearGaussianTransition(transition_matrix(T), process_noise_matrix(T, q))
-        except ValueError as exc:
-            self._fail("scenario", "sample_time_s", f"gives a process noise matrix that cannot run a filter "
-                       f"({exc}); process_noise also shapes it")
         range_m = self._si("scenario", "target_range_km", 1e3)
         self._si("scenario", "noise_sigma_deg", DEGREE)  # the library converts to radians
         self._si("filter", "sigma_deg", DEGREE)
         try:
-            return build_canonical_scenario(
+            scenario = build_canonical_scenario(
                 scan_count=s["scans"],
-                T=T,
+                T=s["sample_time_s"],
                 initial_range_m=range_m,
                 initial_bearing_deg=s["target_bearing_deg"],
                 target_speed=s["target_speed_kn"] * KNOT,
@@ -178,16 +169,25 @@ class Config:
                 observer_speed=s["observer_speed_kn"] * KNOT,
                 observer_headings_deg=tuple(s["observer_headings_deg"]),
                 observer_leg_scans=s["observer_leg_scans"],
-                q=q,
+                q=s["process_noise"],
                 noise_sigma_deg=s["noise_sigma_deg"],
                 noise_nu=s["noise_dof"] if s["noise"] == "student-t" else math.inf,
                 filter_sigma_deg=self.parsed["filter"]["sigma_deg"],
             )
+        except ProcessNoiseError as exc:
+            self._fail("scenario", "sample_time_s", "gives a process noise matrix that is not finite and positive "
+                       f"definite ({exc.__cause__}); process_noise also shapes it")
         except ValueError as exc:
             # Every key is in its domain, so only the observer track as a whole
             # is left: it must manoeuvre, and its positions must not overflow.
             self._fail("scenario", "observer_headings_deg", f"{exc} (the track also depends on "
                        "observer_speed_kn, observer_leg_scans, sample_time_s and scans)")
+        try:  # the possibility filter's proposal spread
+            scenario.process_noise.inflated(self.parsed["filter"]["proposal_inflation"])
+        except ValueError as exc:
+            self._fail("filter", "proposal_inflation", f"scales the process noise matrix to a spread that is "
+                       f"not finite and positive definite ({exc}); sample_time_s and process_noise also shape it")
+        return scenario
 
     def prior(self) -> PriorConfig:
         return PriorConfig(

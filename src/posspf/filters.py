@@ -105,15 +105,16 @@ def _support_sampler(pi: GaussianPossibility, options: PossibilityPFOptions):
 class LinearGaussianTransition:
     """Transition whose possibility is Gaussian with mean A x + b, fixed spread.
 
-    ``noise`` is the zero-mean Gaussian possibility of the move.  Proposals
-    (the inflated Gaussian or its water-poured density) are built once per
-    (proposal, inflation) and reused when ``offset`` is reassigned per scan.
+    ``noise`` is the zero-mean Gaussian possibility of the move (``spread`` if
+    that is one).  Proposals (the inflated Gaussian or its water-poured density)
+    are built once per (proposal, inflation) and reused when ``offset`` is
+    reassigned per scan.
     """
 
     def __init__(self, matrix, spread, offset=None):
         self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         d = self.matrix.shape[0]
-        self.noise = GaussianPossibility(np.zeros(d), spread)
+        self.noise = spread if isinstance(spread, GaussianPossibility) else GaussianPossibility(np.zeros(d), spread)
         self.offset = np.zeros(d) if offset is None else np.atleast_1d(np.asarray(offset, dtype=float))
         self._proposals: dict = {}
 
@@ -129,8 +130,7 @@ class LinearGaussianTransition:
         """Draw one successor support point per particle."""
         key = (options.proposal, options.proposal_inflation)
         if key not in self._proposals:
-            inflated = GaussianPossibility(self.noise.mean, self.noise.spread * options.proposal_inflation)
-            self._proposals[key] = _support_sampler(inflated, options)
+            self._proposals[key] = _support_sampler(self.noise.inflated(options.proposal_inflation), options)
         # Proposals are zero-mean: a sample is the means plus the deviation.
         proposed = self.means(states)
         proposed += self._proposals[key].deviation(rng, states.shape[0])

@@ -63,6 +63,11 @@ class GaussianPossibility:
         except np.linalg.LinAlgError as exc:
             raise ValueError("spread matrix is not positive definite") from exc
 
+    def inflated(self, factor: float) -> GaussianPossibility:
+        """The same mean with the spread times ``factor``; a ValueError unless that is finite and positive definite."""
+        with np.errstate(over="ignore"):  # an overflowing entry is refused as not finite
+            return GaussianPossibility(self.mean, self.spread * factor)
+
     @property
     def dim(self) -> int:
         return self.mean.shape[0]

@@ -14,6 +14,7 @@ from posspf.bench import (
     FILTER_POSSIBILITY,
     FILTER_STANDARD,
     NoiseModel,
+    ProcessNoiseError,
     build_canonical_scenario,
     is_divergent,
     nominal_target_track,
@@ -26,7 +27,7 @@ from posspf.bench import (
     wilson_interval,
 )
 from posspf.filters import possibility_pf_init, standard_pf_init
-from posspf.tma import PriorConfig, bearings_of, init_prior
+from posspf.tma import PriorConfig, bearings_of, init_prior, process_noise_matrix
 
 DEG = math.pi / 180.0
 
@@ -174,6 +175,21 @@ def test_sampled_target_track_carries_process_noise():
     assert not np.allclose(noisy, nominal)
     with pytest.raises(ValueError, match="process noise intensity must be positive"):
         dataclasses.replace(s, q=0.0)
+
+
+def test_scenario_builds_its_process_noise_once():
+    s = build_canonical_scenario(T=30.0, q=2e-3)
+    np.testing.assert_array_equal(s.process_noise.mean, np.zeros(4))
+    np.testing.assert_array_equal(s.process_noise.spread, process_noise_matrix(30.0, 2e-3))
+    assert s == dataclasses.replace(s)  # compared by its inputs, not the derived noise
+
+
+@pytest.mark.parametrize("T, message", [(1e103, "not finite"), (1e-300, "not positive definite")])
+def test_scenario_refuses_a_process_noise_matrix_with_no_finite_factor(T, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProcessNoiseError, match=f"process noise matrix is not finite and positive definite: .*{message}"):
+            build_canonical_scenario(T=T)
 
 
 # ---------------------------------------------------------------------------
