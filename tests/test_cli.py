@@ -318,7 +318,8 @@ def test_non_finite_input_exits_2_and_writes_no_csv(tmp_path, capsys, command, o
 
 # Zero noise leaves the key's domain.  A T**3 entry that underflows against
 # T or overflows gives a process noise matrix with no Cholesky factor or no
-# finite one.
+# finite one, and so does an inflation of that matrix for the proposal.
+PROPOSAL_SPREAD = r"\[filter\] proposal_inflation: .* spread that is not finite and positive definite"
 DEGENERATE_PROCESS_NOISE = [
     ("scenario.process_noise=0", r"\[scenario\] process_noise: must be positive"),
     ("scenario.process_noise=0.0", r"\[scenario\] process_noise: must be positive"),
@@ -326,6 +327,10 @@ DEGENERATE_PROCESS_NOISE = [
     ("scenario.sample_time_s=1e-300", r"\[scenario\] sample_time_s: .*; process_noise also shapes it"),
     ("scenario.sample_time_s=1e-150", r"\[scenario\] sample_time_s: .*; process_noise also shapes it"),
     ("scenario.sample_time_s=1e103", r"\[scenario\] sample_time_s: .*not finite.*; process_noise also shapes it"),
+    ("filter.proposal_inflation=1.7976931348623157e308", PROPOSAL_SPREAD + r" \(spread matrix is not finite\)"),
+    ("filter.proposal_inflation=5e-324", PROPOSAL_SPREAD + r" \(spread matrix is not positive definite\)"),
+    # The process noise is finite; 1.5 times it, the default inflation, is not.
+    ("scenario.process_noise=8e303", PROPOSAL_SPREAD + r".*; sample_time_s and process_noise also shape it"),
 ]
 
 
@@ -336,31 +341,6 @@ def test_degenerate_process_noise_exits_2_on_every_command(tmp_path, capsys, com
     code = main([command, "--set", override, "--set", f"output.directory={out}"] + FAST_RUN)
     assert code == 2
     assert re.search(message, capsys.readouterr().err)
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["run", "table1", "crlb"])
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        ["filter.proposal_inflation=1.7976931348623157e308"],  # the spread overflows
-        ["filter.proposal_inflation=5e-324"],  # the spread is singular
-        ["scenario.process_noise=1e300", "filter.proposal_inflation=1e10"],
-        ["scenario.process_noise=8e303"],  # the process noise is finite, 1.5 times it is not
-    ],
-)
-def test_degenerate_proposal_spread_exits_2_on_every_command(tmp_path, capsys, command, overrides):
-    out = tmp_path / "out"
-    args = [command, "--set", f"output.directory={out}"] + FAST_RUN
-    for item in overrides:
-        args += ["--set", item]
-    stderr = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
-        warnings.simplefilter("error")
-        code = main(args)
-    assert code == 2
-    assert re.search(r"\[filter\] proposal_inflation: scales the process noise matrix to a spread that is not "
-                     r"finite and positive definite .*; sample_time_s and process_noise also shape it", stderr.getvalue())
     assert not out.exists()
 
 
