@@ -38,7 +38,6 @@ from .bench import (
     RunReport,
     Scenario,
     Table1Cell,
-    build_canonical_scenario,
     is_divergent,
     nominal_target_track,
     run_batch,

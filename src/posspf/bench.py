@@ -108,127 +108,88 @@ class ProcessNoiseError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulated engagement: observer, target, CV dynamics, noise models.
+    """The bearings-only engagement, in SI units: metres, seconds and radians.
 
-    ``observer`` holds the known observer state per scan, shape (scans, 4),
-    with piecewise constant velocity: positions must integrate each scan's
-    own velocity over ``T`` (impulsive velocity changes at scan boundaries
-    are allowed).  ``T`` is the sampling interval in seconds and ``q`` the
-    process-noise intensity in m^2/s^3.
+    Headings and the initial bearing are clockwise from north.  By default
+    the target starts 10 km due north doing 4 m/s on heading 140 degrees,
+    and the observer zigzags at 7.5 m/s between headings 70 and 340
+    degrees, changing leg every ``observer_leg_scans`` scans and holding
+    its last heading.  ``T`` is the sampling interval and ``q`` the
+    process-noise intensity in m^2/s^3.  Each value is checked once, and
+    the known observer state per scan, shape (scans, 4), the target's
+    initial state and one scan's process noise derive from them.
     """
 
-    T: float
-    observer: np.ndarray
-    target_init: np.ndarray
-    q: float
-    true_noise: NoiseModel
-    filter_sigma: float
-    # One scan's zero-mean move, from T and q, for the truth and the filters alike.
+    scan_count: int = 40
+    T: float = 40.0
+    initial_range: float = 10e3
+    initial_bearing: float = 0.0
+    target_speed: float = 4.0
+    target_heading: float = math.radians(140.0)
+    observer_speed: float = 7.5
+    observer_headings: tuple[float, ...] = tuple(map(math.radians, (70.0, 340.0, 70.0, 340.0)))
+    observer_leg_scans: int = 10
+    q: float = 1e-3
+    true_noise: NoiseModel = NoiseModel(math.radians(1.0))
+    filter_sigma: float = math.radians(1.0)
+    observer: np.ndarray = field(init=False, repr=False, compare=False)
+    target_init: np.ndarray = field(init=False, repr=False, compare=False)
+    # One scan's zero-mean move, for the truth and the filters alike.
     process_noise: GaussianPossibility = field(init=False, repr=False, compare=False)
 
-    @property
-    def scan_count(self) -> int:
-        return len(self.observer)
-
     def __post_init__(self):
+        scan_count = whole_count("scan_count", self.scan_count, 2)
+        leg_scans = whole_count("observer_leg_scans", self.observer_leg_scans)
+        # numpy's scalar keeps an overflowing bound inf, where a Python float's ** raises.
+        sigma = np.float64(self.filter_sigma)
         if not 0 < self.T < math.inf:
             raise ValueError("sampling interval must be positive and finite")
         if not 0 < self.q < math.inf:
             raise ValueError("process noise intensity must be positive and finite")
+        if not 0 < self.initial_range < math.inf:
+            raise ValueError("initial range must be positive and finite")
+        if not 0 < sigma < math.inf:
+            raise ValueError("filter sigma must be positive and finite")
+        if not (0 <= self.observer_speed < math.inf and 0 <= self.target_speed < math.inf):
+            raise ValueError("speeds must be nonnegative and finite")
+        if not all(map(math.isfinite, (self.initial_bearing, self.target_heading, *self.observer_headings))):
+            raise ValueError("headings and the initial bearing must be finite")
+        if len(self.observer_headings) < 2:
+            raise ValueError("observer needs at least two legs to manoeuvre")
         try:
             with np.errstate(over="ignore"):  # an overflowing T**3 entry is refused as not finite
                 noise = GaussianPossibility(np.zeros(4), process_noise_matrix(self.T, self.q))
         except ValueError as exc:
             raise ProcessNoiseError(f"process noise matrix is not finite and positive definite: {exc}") from exc
-        object.__setattr__(self, "process_noise", noise)
-        obs = np.asarray(self.observer, dtype=float)
-        object.__setattr__(self, "observer", obs)
-        if obs.ndim != 2 or obs.shape[1] != 4:
-            raise ValueError("observer states must have shape (scans, 4)")
-        if obs.shape[0] < 2:
-            raise ValueError("observer trajectory needs at least 2 scans")
+
+        # Piecewise constant velocity: each scan's position integrates the
+        # previous scan's velocity over T.
+        obs = np.zeros((scan_count, 4))
+        pos = np.zeros(2)
+        with np.errstate(over="ignore", invalid="ignore"):  # a track that overflows is refused as not finite
+            for k in range(scan_count):
+                leg = min(k // leg_scans, len(self.observer_headings) - 1)
+                v = _east_north(self.observer_speed, self.observer_headings[leg])
+                obs[k] = [pos[0], v[0], pos[1], v[1]]
+                pos = pos + self.T * v
         if not np.all(np.isfinite(obs)):
             raise ValueError("observer states must be finite")
-        gaps_x = obs[1:, 0] - obs[:-1, 0] - self.T * obs[:-1, 1]
-        gaps_y = obs[1:, 2] - obs[:-1, 2] - self.T * obs[:-1, 3]
-        scale = max(1.0, np.abs(obs[:, [0, 2]]).max())
-        if np.abs(gaps_x).max() > 1e-9 * scale or np.abs(gaps_y).max() > 1e-9 * scale:
-            raise ValueError("observer positions inconsistent with piecewise-CV motion")
-        if not 0 < self.filter_sigma < math.inf:
-            raise ValueError("filter sigma must be positive and finite")
-        target = np.asarray(self.target_init, dtype=float)
-        object.__setattr__(self, "target_init", target)
-        if target.shape != (4,):
-            raise ValueError(f"target initial state must have shape (4,), got {target.shape}")
-        if not np.all(np.isfinite(target)):
-            raise ValueError("target initial state must be finite")
         velocities = obs[:, [1, 3]]
         if np.allclose(velocities, velocities[0]):
             raise ValueError("observer must manoeuvre at least once (range observability)")
 
+        tgt_pos = _east_north(self.initial_range, self.initial_bearing)
+        tgt_vel = _east_north(self.target_speed, self.target_heading)
+        object.__setattr__(self, "scan_count", scan_count)
+        object.__setattr__(self, "filter_sigma", sigma)
+        object.__setattr__(self, "observer", obs)
+        object.__setattr__(self, "target_init", np.array([tgt_pos[0], tgt_vel[0], tgt_pos[1], tgt_vel[1]]))
+        object.__setattr__(self, "process_noise", noise)
 
-def _heading_velocity(speed: float, heading_deg: float) -> np.ndarray:
-    h = np.deg2rad(heading_deg)
-    return speed * np.array([np.sin(h), np.cos(h)])
 
-
-def build_canonical_scenario(
-    *,
-    scan_count: int = 40,
-    T: float = 40.0,
-    initial_range_m: float = 10e3,
-    initial_bearing_deg: float = 0.0,
-    target_speed: float = 4.0,
-    target_heading_deg: float = 140.0,
-    observer_speed: float = 7.5,
-    observer_headings_deg: tuple[float, ...] = (70.0, 340.0, 70.0, 340.0),
-    observer_leg_scans: int = 10,
-    q: float = 1e-3,
-    noise_sigma_deg: float = 1.0,
-    noise_nu: float = math.inf,
-    filter_sigma_deg: float = 1.0,
-) -> Scenario:
-    """Canonical bearings-only engagement; every default can be overridden.
-
-    By default the target starts 10 km due north doing 4 m/s on heading
-    140, and the observer zigzags at 7.5 m/s between headings 70 and 340
-    every 10 scans.  ``noise_nu = inf`` is Gaussian bearing noise.
-    """
-    # Checked before the track is built, where a non-finite value would
-    # reach numpy arithmetic ahead of Scenario's own checks.
-    if not 0 < T < math.inf:
-        raise ValueError("sampling interval must be positive and finite")
-    if not 0 < initial_range_m < math.inf:
-        raise ValueError("initial range must be positive and finite")
-    scan_count = whole_count("scan_count", scan_count, 2)
-    observer_leg_scans = whole_count("observer_leg_scans", observer_leg_scans)
-    if not (0 <= observer_speed < math.inf and 0 <= target_speed < math.inf):
-        raise ValueError("speeds must be nonnegative and finite")
-    if not all(map(math.isfinite, (initial_bearing_deg, target_heading_deg, *observer_headings_deg))):
-        raise ValueError("headings and the initial bearing must be finite")
-    if len(observer_headings_deg) < 2:
-        raise ValueError("observer needs at least two legs to manoeuvre")
-
-    obs = np.zeros((scan_count, 4))
-    pos = np.zeros(2)
-    for k in range(len(obs)):
-        leg = min(k // observer_leg_scans, len(observer_headings_deg) - 1)
-        v = _heading_velocity(observer_speed, observer_headings_deg[leg])
-        obs[k] = [pos[0], v[0], pos[1], v[1]]
-        pos = pos + T * v
-
-    beta = np.deg2rad(initial_bearing_deg)
-    tgt_pos = initial_range_m * np.array([np.sin(beta), np.cos(beta)])
-    tgt_vel = _heading_velocity(target_speed, target_heading_deg)
-
-    return Scenario(
-        T=float(T),
-        observer=obs,
-        target_init=np.array([tgt_pos[0], tgt_vel[0], tgt_pos[1], tgt_vel[1]]),
-        q=float(q),
-        true_noise=NoiseModel(np.deg2rad(noise_sigma_deg), float(noise_nu)),
-        filter_sigma=np.deg2rad(filter_sigma_deg),
-    )
+def _east_north(length: float, angle: float) -> np.ndarray:
+    """East and north components of ``length`` along ``angle``, clockwise from north."""
+    return length * np.array([np.sin(angle), np.cos(angle)])
 
 
 def nominal_target_track(scenario: Scenario) -> np.ndarray:

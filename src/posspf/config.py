@@ -2,10 +2,11 @@
 
 Config files use INI syntax with sections [scenario], [filter],
 [experiment], and [output].  Operator-facing units are kilometres, knots,
-and degrees; the builders below convert to SI.  Process-noise intensity
-stays in m^2/s^3 (it has no operator-friendly unit).  ``KEYS`` is the one
-table of keys: default text, parser and domain.  ``load_config`` checks
-every key once, so a bad value fails before any command starts.
+and degrees; the builders below convert to SI, the only units the library
+takes.  Process-noise intensity stays in m^2/s^3 (it has no
+operator-friendly unit).  ``KEYS`` is the one table of keys: default text,
+parser and domain.  ``load_config`` checks every key once, so a bad value
+fails before any command starts.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
-from .bench import MIN_NOISE_DOF, ProcessNoiseError, Scenario, build_canonical_scenario
+from .bench import MIN_NOISE_DOF, NoiseModel, ProcessNoiseError, Scenario
 from .filters import PossibilityPFOptions
 from .tma import PriorConfig
 
@@ -152,28 +153,27 @@ class Config:
         return value
 
     def scenario(self) -> Scenario:
-        """The configured scenario; a process noise matrix, or that matrix times proposal_inflation,
-        that is not finite and positive definite fails here naming sample_time_s or proposal_inflation."""
+        """The configured engagement in SI units; a process noise matrix, or the possibility filter's
+        proposal built from it, that is not usable fails here naming sample_time_s or proposal_inflation."""
         s = self.parsed["scenario"]
-        range_m = self._si("scenario", "target_range_km", 1e3)
-        self._si("scenario", "noise_sigma_deg", DEGREE)  # the library converts to radians
-        self._si("filter", "sigma_deg", DEGREE)
+        # Converted ahead of the try below, which would rename a ConfigError (a ValueError) raised here.
+        si = dict(
+            scan_count=s["scans"],
+            T=s["sample_time_s"],
+            initial_range=self._si("scenario", "target_range_km", 1e3),
+            initial_bearing=s["target_bearing_deg"] * DEGREE,
+            target_speed=s["target_speed_kn"] * KNOT,
+            target_heading=s["target_heading_deg"] * DEGREE,
+            observer_speed=s["observer_speed_kn"] * KNOT,
+            observer_headings=tuple(h * DEGREE for h in s["observer_headings_deg"]),
+            observer_leg_scans=s["observer_leg_scans"],
+            q=s["process_noise"],
+            true_noise=NoiseModel(self._si("scenario", "noise_sigma_deg", DEGREE),
+                                  s["noise_dof"] if s["noise"] == "student-t" else math.inf),
+            filter_sigma=self._si("filter", "sigma_deg", DEGREE),
+        )
         try:
-            scenario = build_canonical_scenario(
-                scan_count=s["scans"],
-                T=s["sample_time_s"],
-                initial_range_m=range_m,
-                initial_bearing_deg=s["target_bearing_deg"],
-                target_speed=s["target_speed_kn"] * KNOT,
-                target_heading_deg=s["target_heading_deg"],
-                observer_speed=s["observer_speed_kn"] * KNOT,
-                observer_headings_deg=tuple(s["observer_headings_deg"]),
-                observer_leg_scans=s["observer_leg_scans"],
-                q=s["process_noise"],
-                noise_sigma_deg=s["noise_sigma_deg"],
-                noise_nu=s["noise_dof"] if s["noise"] == "student-t" else math.inf,
-                filter_sigma_deg=self.parsed["filter"]["sigma_deg"],
-            )
+            scenario = Scenario(**si)
         except ProcessNoiseError as exc:
             self._fail("scenario", "sample_time_s", "gives a process noise matrix that is not finite and positive "
                        f"definite ({exc.__cause__}); process_noise also shapes it")
@@ -182,11 +182,12 @@ class Config:
             # is left: it must manoeuvre, and its positions must not overflow.
             self._fail("scenario", "observer_headings_deg", f"{exc} (the track also depends on "
                        "observer_speed_kn, observer_leg_scans, sample_time_s and scans)")
-        try:  # the possibility filter's proposal spread
-            scenario.process_noise.inflated(self.parsed["filter"]["proposal_inflation"])
+        try:
+            self.filter_options().proposal_sampler(scenario.process_noise)
         except ValueError as exc:
-            self._fail("filter", "proposal_inflation", f"scales the process noise matrix to a spread that is "
-                       f"not finite and positive definite ({exc}); sample_time_s and process_noise also shape it")
+            self._fail("filter", "proposal_inflation", "scales the process noise matrix to a proposal that "
+                       "max-entropy cannot water-pour, or to a spread that is not finite and positive definite "
+                       f"({exc}); sample_time_s and process_noise also shape it")
         return scenario
 
     def prior(self) -> PriorConfig:

@@ -96,6 +96,14 @@ class PossibilityPFOptions:
         if not 0 <= self.map_peak_cut < np.inf:
             raise ValueError("map peak cut must be nonnegative and finite")
 
+    def proposal_sampler(self, noise: GaussianPossibility):
+        """What a scan's moves are drawn from: ``noise`` inflated by ``proposal_inflation``, as ``proposal`` says.
+
+        Raises ValueError when that spread is not finite and positive
+        definite, or when max-entropy cannot water-pour it.
+        """
+        return _support_sampler(noise.inflated(self.proposal_inflation), self)
+
 
 def _support_sampler(pi: GaussianPossibility, options: PossibilityPFOptions):
     """What ``options.proposal`` draws support from for ``pi``: its density or its water-poured density."""
@@ -130,7 +138,7 @@ class LinearGaussianTransition:
         """Draw one successor support point per particle."""
         key = (options.proposal, options.proposal_inflation)
         if key not in self._proposals:
-            self._proposals[key] = _support_sampler(self.noise.inflated(options.proposal_inflation), options)
+            self._proposals[key] = options.proposal_sampler(self.noise)
         # Proposals are zero-mean: a sample is the means plus the deviation.
         proposed = self.means(states)
         proposed += self._proposals[key].deviation(rng, states.shape[0])

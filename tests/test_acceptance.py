@@ -16,7 +16,7 @@ from scipy import integrate, optimize, stats
 from posspf.bench import (
     FILTER_POSSIBILITY,
     FILTER_STANDARD,
-    build_canonical_scenario,
+    Scenario,
     run_batch,
     scenario_crlb,
     wilson_interval,
@@ -242,7 +242,7 @@ def test_criterion_4_linear_gaussian_oracle():
 
 @pytest.fixture(scope="module")
 def canonical():
-    return build_canonical_scenario()
+    return Scenario()
 
 
 def test_criterion_5_matched_model_parity(canonical):
@@ -339,7 +339,7 @@ def test_criterion_8_invariant_suite(canonical, tmp_path):
     failures = []
 
     # (a, b, c) weight conventions and MAP membership on the canonical problem
-    scenario = build_canonical_scenario(scan_count=10, observer_leg_scans=3)
+    scenario = Scenario(scan_count=10, observer_leg_scans=3)
     rng_world = np.random.default_rng((3, 0))
     z = synthesize_measurements(scenario, rng_world, nominal_target_track(scenario))
     sigma = scenario.filter_sigma

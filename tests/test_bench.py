@@ -15,7 +15,7 @@ from posspf.bench import (
     FILTER_STANDARD,
     NoiseModel,
     ProcessNoiseError,
-    build_canonical_scenario,
+    Scenario,
     is_divergent,
     nominal_target_track,
     run_batch,
@@ -38,7 +38,7 @@ DEG = math.pi / 180.0
 
 
 def test_canonical_defaults():
-    s = build_canonical_scenario()
+    s = Scenario()
     assert s.scan_count == 40
     assert s.T == 40.0
     assert len(s.observer) == 40
@@ -47,87 +47,62 @@ def test_canonical_defaults():
 
 
 def test_canonical_initial_bearing_is_zero():
-    s = build_canonical_scenario()
+    s = Scenario()
     rel = nominal_target_track(s) - s.observer
     assert bearings_of(rel[:1])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_minimal_valid_scenario():
-    s = build_canonical_scenario(scan_count=2, observer_leg_scans=1)
+    s = Scenario(scan_count=2, observer_leg_scans=1)
     assert s.scan_count == 2
 
 
 def test_scenario_without_manoeuvre_rejected():
     with pytest.raises(ValueError, match="manoeuvre"):
-        build_canonical_scenario(scan_count=2)
+        Scenario(scan_count=2)
 
 
 def test_unknown_override_rejected():
     with pytest.raises(TypeError, match="warp_factor"):
-        build_canonical_scenario(warp_factor=9)
+        Scenario(warp_factor=9)
 
 
 def test_scan_count_is_the_observer_length():
-    s = build_canonical_scenario(scan_count=7, observer_leg_scans=3)
+    s = Scenario(scan_count=7, observer_leg_scans=3)
     assert s.scan_count == len(s.observer) == 7
-    shorter = dataclasses.replace(s, observer=s.observer[:5])
+    shorter = dataclasses.replace(s, scan_count=5)
     assert shorter.scan_count == len(shorter.observer) == 5
+    np.testing.assert_array_equal(shorter.observer, s.observer[:5])
 
 
-@pytest.mark.parametrize("shape, message", [((1, 4), "at least 2 scans"), ((3, 3), "shape")])
-def test_scenario_rejects_observer_shapes(shape, message):
-    with pytest.raises(ValueError, match=message):
-        dataclasses.replace(build_canonical_scenario(), observer=np.zeros(shape))
+def test_scenario_derives_its_tracks_from_its_parameters():
+    s = Scenario(scan_count=5, T=10.0, observer_speed=2.0, observer_headings=(0.0, math.pi / 2), observer_leg_scans=2,
+                 initial_range=5e3, initial_bearing=math.pi / 2, target_speed=3.0, target_heading=math.pi)
+    # North for two scans, then east; each position integrates the previous scan's velocity.
+    np.testing.assert_allclose(
+        s.observer,
+        [[0, 0, 0, 2], [0, 0, 20, 2], [0, 2, 40, 0], [20, 2, 40, 0], [40, 2, 40, 0]],
+        atol=1e-12,
+    )
+    np.testing.assert_allclose(s.target_init, [5e3, 0.0, 0.0, -3.0], atol=1e-9)
 
 
 def test_scenario_rejects_non_finite_observer():
-    s = build_canonical_scenario()
-    observer = s.observer.copy()
-    observer[3, 1] = math.nan
-    with pytest.raises(ValueError, match="finite"):
-        dataclasses.replace(s, observer=observer)
-
-
-@pytest.mark.parametrize("target_init", [np.zeros(3), np.zeros((1, 4)), np.zeros(5)])
-def test_scenario_rejects_target_init_shapes(target_init):
-    with pytest.raises(ValueError, match=r"shape \(4,\)"):
-        dataclasses.replace(build_canonical_scenario(), target_init=target_init)
-
-
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("T", 0.0, "sampling interval"),
-        ("T", math.nan, "sampling interval"),
-        ("target_init", [0.0, 0.0, math.inf, 0.0], "target initial state must be finite"),
-    ],
-)
-def test_scenario_rejects_values_that_bypass_the_builder(field, value, message):
-    # build_canonical_scenario checks T itself, so only a direct Scenario reaches these checks.
-    with pytest.raises(ValueError, match=message):
-        dataclasses.replace(build_canonical_scenario(), **{field: value})
-
-
-def test_scenario_stores_target_init_as_a_float_array():
-    s = dataclasses.replace(build_canonical_scenario(), target_init=[0, 1, 10000, -2])
-    assert s.target_init.dtype == np.float64
-    np.testing.assert_array_equal(s.target_init, [0.0, 1.0, 1e4, -2.0])
-
-
-def test_scenario_rejects_inconsistent_observer_positions():
-    states = np.zeros((3, 4))
-    states[:, 1] = 2.0  # vx = 2 but positions never move
-    with pytest.raises(ValueError, match="inconsistent"):
-        dataclasses.replace(build_canonical_scenario(), observer=states)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="observer states must be finite"):
+            Scenario(observer_speed=1e307)
 
 
 def test_invalid_override_values_rejected():
     with pytest.raises(ValueError):
-        build_canonical_scenario(scan_count=1)
-    with pytest.raises(ValueError):
-        build_canonical_scenario(T=-1.0)
-    with pytest.raises(ValueError):
-        build_canonical_scenario(noise_sigma_deg=0.0)
+        Scenario(scan_count=1)
+    with pytest.raises(ValueError, match="sampling interval"):
+        Scenario(T=-1.0)
+    with pytest.raises(ValueError, match="sampling interval"):
+        Scenario(T=0.0)
+    with pytest.raises(ValueError, match="sampling interval"):
+        Scenario(T=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +111,7 @@ def test_invalid_override_values_rejected():
 
 
 def test_measurements_equal_true_bearings_in_small_noise_limit():
-    s = build_canonical_scenario(noise_sigma_deg=1e-12)
+    s = Scenario(true_noise=NoiseModel(math.radians(1e-12)))
     rel = nominal_target_track(s) - s.observer
     z = synthesize_measurements(s, np.random.default_rng(0), nominal_target_track(s))
     np.testing.assert_allclose(z, bearings_of(rel), atol=1e-10)
@@ -160,6 +135,12 @@ def test_noise_model_rejects_non_positive_dof(nu):
         NoiseModel(1.0 * DEG, nu)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+def test_noise_model_rejects_a_sigma_that_is_not_positive_and_finite(sigma):
+    with pytest.raises(ValueError, match="noise sigma must be positive and finite"):
+        NoiseModel(sigma)
+
+
 def test_student_t_heavy_tails_widen_spread():
     sigma = 1.0 * DEG
     t3 = NoiseModel(sigma, nu=3.0)
@@ -169,7 +150,7 @@ def test_student_t_heavy_tails_widen_spread():
 
 
 def test_sampled_target_track_carries_process_noise():
-    s = build_canonical_scenario()
+    s = Scenario()
     nominal = nominal_target_track(s)
     noisy = sample_target_track(s, np.random.default_rng(3))
     assert not np.allclose(noisy, nominal)
@@ -178,7 +159,7 @@ def test_sampled_target_track_carries_process_noise():
 
 
 def test_scenario_builds_its_process_noise_once():
-    s = build_canonical_scenario(T=30.0, q=2e-3)
+    s = Scenario(T=30.0, q=2e-3)
     np.testing.assert_array_equal(s.process_noise.mean, np.zeros(4))
     np.testing.assert_array_equal(s.process_noise.spread, process_noise_matrix(30.0, 2e-3))
     assert s == dataclasses.replace(s)  # compared by its inputs, not the derived noise
@@ -189,7 +170,7 @@ def test_scenario_refuses_a_process_noise_matrix_with_no_finite_factor(T, messag
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ProcessNoiseError, match=f"process noise matrix is not finite and positive definite: .*{message}"):
-            build_canonical_scenario(T=T)
+            Scenario(T=T)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +179,7 @@ def test_scenario_refuses_a_process_noise_matrix_with_no_finite_factor(T, messag
 
 
 def test_near_noise_free_run_converges():
-    s = build_canonical_scenario(noise_sigma_deg=0.05)
+    s = Scenario(true_noise=NoiseModel(math.radians(0.05)))
     report = run_single(s, FILTER_POSSIBILITY, 2000, 42)
     assert report.pos_errors[-1] < 500.0
     assert not report.divergent
@@ -207,7 +188,7 @@ def test_near_noise_free_run_converges():
 
 
 def test_same_seed_reproduces_report_exactly():
-    s = build_canonical_scenario()
+    s = Scenario()
     a = run_single(s, FILTER_POSSIBILITY, 300, 5)
     b = run_single(s, FILTER_POSSIBILITY, 300, 5)
     np.testing.assert_array_equal(a.estimate_track, b.estimate_track)
@@ -216,7 +197,7 @@ def test_same_seed_reproduces_report_exactly():
 
 
 def test_both_filters_share_measurements_at_same_seed():
-    s = build_canonical_scenario()
+    s = Scenario()
     a = run_single(s, FILTER_POSSIBILITY, 100, 5)
     b = run_single(s, FILTER_STANDARD, 100, 5)
     # identical truth: identical error normalisation target at scan 1 scale
@@ -246,7 +227,7 @@ def test_a_non_finite_error_at_any_scan_is_divergent(bad):
 def test_collapse_makes_a_divergent_run_not_a_crash(monkeypatch):
     # Every particle is impossible at the first update: both filters collapse.
     monkeypatch.setattr(bench, "bearing_log_likelihood", lambda states, z, sigma: np.full(len(states), -np.inf))
-    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+    s = Scenario(scan_count=6, observer_leg_scans=2)
     for kind in (FILTER_POSSIBILITY, FILTER_STANDARD):
         report = run_single(s, kind, 30, 1)
         assert report.collapsed and report.divergent
@@ -262,41 +243,38 @@ def test_collapse_makes_a_divergent_run_not_a_crash(monkeypatch):
         {"q": -1e-3},
         {"q": math.nan},
         {"q": math.inf},
-        {"filter_sigma_deg": math.nan},
-        {"noise_sigma_deg": math.nan},
-        {"noise_sigma_deg": math.inf},
-        {"noise_nu": math.nan},
-        {"initial_range_m": 0.0},
-        {"initial_range_m": math.inf},
-        {"initial_bearing_deg": math.nan},
-        {"target_heading_deg": math.inf},
+        {"filter_sigma": math.nan},
+        {"initial_range": 0.0},
+        {"initial_range": math.inf},
+        {"initial_bearing": math.nan},
+        {"target_heading": math.inf},
         {"target_speed": math.nan},
         {"observer_speed": math.inf},
-        {"observer_headings_deg": (70.0, math.nan)},
-        {"observer_headings_deg": (70.0,)},
+        {"observer_headings": (1.2, math.nan)},
+        {"observer_headings": (1.2,)},
     ],
 )
 def test_non_finite_scenario_values_rejected(override):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError):
-            build_canonical_scenario(**override)
+            Scenario(**override)
 
 
 def test_report_metadata_fields():
-    s = build_canonical_scenario()
+    s = Scenario()
     report = run_single(s, FILTER_POSSIBILITY, 50, 11)
     assert report.particles == 50
     assert report.filter_kind == FILTER_POSSIBILITY
 
 
 def test_unknown_filter_kind_rejected():
-    s = build_canonical_scenario()
+    s = Scenario()
     with pytest.raises(ValueError):
         run_single(s, "ekf", 10, 0)
 
 
-SMALL = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+SMALL = Scenario(scan_count=6, observer_leg_scans=2)
 PRIOR = init_prior(0.0, (0.0, 7.5), DEG)
 
 
@@ -314,8 +292,8 @@ PRIOR = init_prior(0.0, (0.0, 7.5), DEG)
         (lambda: table1_experiment(SMALL, [20.7], [3], 2, 1), "n_grid entry"),
         (lambda: table1_experiment(SMALL, [20, 20.7], [3], 2, 1), "n_grid entry"),
         (lambda: table1_experiment(SMALL, [20], [3], 2.5, 1), "runs"),
-        (lambda: build_canonical_scenario(scan_count=40.9), "scan_count"),
-        (lambda: build_canonical_scenario(observer_leg_scans=2.5), "observer_leg_scans"),
+        (lambda: Scenario(scan_count=40.9), "scan_count"),
+        (lambda: Scenario(observer_leg_scans=2.5), "observer_leg_scans"),
     ],
     ids=["run_single", "run_single-numpy", "run_single-nan", "run_single-text", "standard_pf_init",
          "possibility_pf_init", "run_batch-runs", "run_batch-parallelism", "table1-n", "table1-second-n",
@@ -344,7 +322,7 @@ def test_whole_float_counts_run_as_ints():
 
 
 def test_batch_of_one_equals_single_run():
-    s = build_canonical_scenario()
+    s = Scenario()
     batch = run_batch(s, FILTER_STANDARD, 200, 1, 77)
     single = run_single(s, FILTER_STANDARD, 200, 77)
     np.testing.assert_array_equal(batch.reports[0].pos_errors, single.pos_errors)
@@ -353,14 +331,14 @@ def test_batch_of_one_equals_single_run():
 
 
 def test_batch_rms_matches_definition():
-    s = build_canonical_scenario()
+    s = Scenario()
     batch = run_batch(s, FILTER_STANDARD, 200, 6, 100)
     alive = np.array([r.pos_errors for r in batch.reports if not r.divergent])
     np.testing.assert_allclose(batch.rms_m, np.sqrt((alive**2).mean(axis=0)))
 
 
 def test_batch_counts_derive_from_the_reports():
-    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+    s = Scenario(scan_count=6, observer_leg_scans=2)
     batch = run_batch(s, FILTER_POSSIBILITY, 20, 5, 3)
     assert [f.name for f in dataclasses.fields(batch)] == ["reports", "rms_m"]
     n_div = sum(r.divergent for r in batch.reports)
@@ -370,7 +348,7 @@ def test_batch_counts_derive_from_the_reports():
 
 
 def test_batch_parallelism_does_not_change_results():
-    s = build_canonical_scenario()
+    s = Scenario()
     serial = run_batch(s, FILTER_POSSIBILITY, 150, 4, 55, parallelism=1)
     parallel = run_batch(s, FILTER_POSSIBILITY, 150, 4, 55, parallelism=2)
     np.testing.assert_array_equal(serial.rms_m, parallel.rms_m)
@@ -395,7 +373,7 @@ def test_batch_workers_call_the_module_level_run_single(monkeypatch):
         return report
 
     monkeypatch.setattr(bench, "run_single", tagging)
-    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+    s = Scenario(scan_count=6, observer_leg_scans=2)
     batch = run_batch(s, FILTER_STANDARD, 20, 4, 3, parallelism=2)
     pids = [getattr(r, "worker_pid", None) for r in batch.reports]
     assert None not in pids and os.getpid() not in pids
@@ -430,7 +408,7 @@ def test_batch_starts_at_most_one_worker_per_run_and_core(monkeypatch, paralleli
     monkeypatch.setattr("posspf.bench.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr("posspf.bench.os.sched_getaffinity", lambda pid: set(range(cores)))
     monkeypatch.setattr(SerialPool, "started", [])
-    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+    s = Scenario(scan_count=6, observer_leg_scans=2)
     batch = run_batch(s, FILTER_STANDARD, 20, runs, 3, parallelism=parallelism)
     assert SerialPool.started == ([] if workers is None else [workers])
     serial = run_batch(s, FILTER_STANDARD, 20, runs, 3, parallelism=1)
@@ -448,7 +426,7 @@ def two_cores_serial_pool(monkeypatch):
 
 @pytest.mark.parametrize("parallelism, pools", [(2, [2, 2]), (1, [])])
 def test_table1_starts_one_pool_per_call(two_cores_serial_pool, parallelism, pools):
-    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+    s = Scenario(scan_count=6, observer_leg_scans=2)
     for _ in range(2):
         cells = table1_experiment(s, [20, 30], [3.0, math.inf], 3, 5, parallelism=parallelism)
         assert len(cells) == 8
@@ -466,7 +444,7 @@ def test_table1_shuts_its_pool_down_when_a_cell_raises(two_cores_serial_pool, mo
         return original(*args, **kwargs)
 
     monkeypatch.setattr(bench, "run_batch", second_cell_raises)
-    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+    s = Scenario(scan_count=6, observer_leg_scans=2)
     with pytest.raises(RuntimeError, match="cell failed"):
         table1_experiment(s, [20], [3.0, math.inf], 3, 5, parallelism=2)
     assert calls[0] is calls[1] and SerialPool.started == SerialPool.stopped == [2]
@@ -484,7 +462,7 @@ def test_table1_shared_pool_gives_the_serial_cells(monkeypatch):
         return batch
 
     monkeypatch.setattr(bench, "run_batch", capture)
-    s = build_canonical_scenario(scan_count=6, observer_leg_scans=2)
+    s = Scenario(scan_count=6, observer_leg_scans=2)
     pooled = table1_experiment(s, [20, 30], [3.0, math.inf], 4, 5, parallelism=2)
     serial = table1_experiment(s, [20, 30], [3.0, math.inf], 4, 5, parallelism=1)
     assert pooled == serial
@@ -511,7 +489,7 @@ def test_wilson_interval_rejects_invalid_counts(successes, trials, message):
 
 
 def test_table1_grid_shape_and_fields():
-    s = build_canonical_scenario()
+    s = Scenario()
     cells = table1_experiment(s, n_grid=[100], nu_grid=[3.0, math.inf], runs=3, base_seed=9)
     assert len(cells) == 4  # 2 filters x 1 particle count x 2 tails
     kinds = {(c.filter_kind, c.nu) for c in cells}
@@ -526,7 +504,7 @@ def test_divergence_monotone_in_tail_dof():
 
     One-sided two-proportion check at 95% on >= 200 runs per cell.
     """
-    s = build_canonical_scenario()
+    s = Scenario()
     runs = 200
     cells = table1_experiment(s, n_grid=[400], nu_grid=[3.0, 8.0, math.inf], runs=runs, base_seed=31)
     for kind in (FILTER_POSSIBILITY, FILTER_STANDARD):
@@ -544,7 +522,7 @@ def test_divergence_monotone_in_tail_dof():
 
 
 def test_scenario_crlb_first_scan_matches_prior():
-    s = build_canonical_scenario()
+    s = Scenario()
     result = scenario_crlb(s)
     cross = (10e3 * s.filter_sigma) ** 2
     expected_scan1 = math.sqrt(cross + 3.5e3**2)
@@ -555,8 +533,8 @@ def test_scenario_crlb_first_scan_matches_prior():
 @pytest.mark.parametrize(
     "scenario, prior",
     [
-        (build_canonical_scenario(), PriorConfig(range_sigma=1e300)),
-        (build_canonical_scenario(filter_sigma_deg=1e300), PriorConfig()),
+        (Scenario(), PriorConfig(range_sigma=1e300)),
+        (Scenario(filter_sigma=math.radians(1e300)), PriorConfig()),
     ],
 )
 def test_scenario_crlb_raises_naming_the_first_non_finite_scan(recwarn, scenario, prior):
@@ -566,7 +544,7 @@ def test_scenario_crlb_raises_naming_the_first_non_finite_scan(recwarn, scenario
 
 
 def test_scenario_crlb_uses_every_prior_field():
-    s = build_canonical_scenario()
+    s = Scenario()
     prior = PriorConfig(range_mean=12e3, range_sigma=2e3, vel_sigma=3.0)
     scan1 = scenario_crlb(s, prior).bounds[0]
     # Due north, the range variance lies on y and the cross-range variance on x.

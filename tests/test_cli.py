@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posspf.bench import build_canonical_scenario, run_batch, scenario_crlb
+from posspf.bench import Scenario, run_batch, scenario_crlb
 from posspf.cli import main
 from posspf.config import KEYS, KNOT, PARSERS, ConfigError, load_config
 from posspf.filters import PossibilityPFOptions
@@ -57,12 +57,43 @@ def test_defaults_load_without_file():
 def test_config_defaults_are_the_library_defaults():
     """The default config is the library's canonical engagement, field for field and bit for bit."""
     cfg = load_config(None, [])
-    got, want = cfg.scenario(), build_canonical_scenario()
-    for name in ("observer", "target_init"):
+    got, want = cfg.scenario(), Scenario()
+    assert got == want
+    for name in ("observer", "target_init"):  # derived from the compared fields
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-    assert (got.T, got.q, got.true_noise, got.filter_sigma) == (want.T, want.q, want.true_noise, want.filter_sigma)
     assert cfg.prior() == PriorConfig()
     assert cfg.filter_options() == PossibilityPFOptions()
+
+
+# A valid value other than the default for each key that states the engagement.  The base
+# draws Student-t noise, since under gaussian noise noise_dof is ignored (ROADMAP item 1).
+ENGAGEMENT_BASE = ["scenario.noise=student-t", "scenario.noise_dof=3"]
+ENGAGEMENT_CHANGES = {
+    "scenario.scans": "41",
+    "scenario.sample_time_s": "30",
+    "scenario.target_range_km": "12",
+    "scenario.target_bearing_deg": "10",
+    "scenario.target_speed_kn": "5",
+    "scenario.target_heading_deg": "150",
+    "scenario.observer_speed_kn": "10",
+    "scenario.observer_headings_deg": "60, 330",
+    "scenario.observer_leg_scans": "7",
+    "scenario.noise": "gaussian",
+    "scenario.noise_sigma_deg": "2",
+    "scenario.noise_dof": "5",
+    "scenario.process_noise": "2e-3",
+    "filter.sigma_deg": "2",
+}
+
+
+def test_engagement_changes_cover_every_scenario_key():
+    assert {key for key in ENGAGEMENT_CHANGES if key.startswith("scenario.")} == {f"scenario.{key}" for key in KEYS["scenario"]}
+
+
+@pytest.mark.parametrize("key", sorted(ENGAGEMENT_CHANGES))
+def test_every_engagement_key_reaches_the_scenario(key):
+    base = load_config(None, ENGAGEMENT_BASE).scenario()
+    assert load_config(None, ENGAGEMENT_BASE + [f"{key}={ENGAGEMENT_CHANGES[key]}"]).scenario() != base
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -390,7 +421,7 @@ def test_bad_experiment_or_geometry_exits_2_naming_the_key(tmp_path, capsys, com
     small_grid = ["--set", "experiment.n_grid=100", "--set", "experiment.nu_grid=3"]
     code = main([command, "--set", f"output.directory={out}"] + FAST_RUN + small_grid + ["--set", override])
     assert code == 2
-    assert key in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
     assert not out.exists()
 
 
@@ -415,7 +446,7 @@ def test_counts_over_budget_exit_2_naming_the_key(tmp_path, capsys, monkeypatch,
     out = tmp_path / "out"
     code = main([command, "--set", f"output.directory={out}", "--set", override])
     assert code == 2
-    assert key in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
     assert not out.exists()
 
 
@@ -496,9 +527,9 @@ FUZZ_OVERRIDES = st.dictionaries(st.sampled_from(sorted(FUZZED_KEYS)), st.none()
 TINY = ["experiment.runs=2", "filter.particles=50", "scenario.scans=12", "scenario.observer_leg_scans=3",
         "experiment.parallelism=1", "experiment.n_grid=50", "experiment.nu_grid=3"]
 # The documented runtime failures (README, exit codes).  The last two are a
-# prior or process-noise spread that is singular in floating point, and a
-# spread whose mass overflows when max-entropy water-pours it: they depend on
-# several keys and, for the prior, on the first measured bearing.
+# prior spread that is singular in floating point, and a prior spread whose
+# mass overflows when max-entropy water-pours it: they depend on several keys
+# and on the first measured bearing.
 RUNTIME_FAILURES = (
     "position bound is not finite at scan",
     "runs diverged",
@@ -538,6 +569,7 @@ def assert_finite_cells(out):
 @example(command="crlb", overrides={"scenario.target_range_km": "1e+306"})
 @example(command="run", overrides={"filter.proposal": "max-entropy", "scenario.process_noise": "1e300"})
 @example(command="run", overrides={"filter.proposal_inflation": "1.7976931348623157e308"})
+@example(command="crlb", overrides={"scenario.observer_speed_kn": "1e307"})
 def test_no_command_exits_0_with_a_non_finite_cell(command, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -560,16 +592,24 @@ def test_no_command_exits_0_with_a_non_finite_cell(command, overrides):
             assert not out.exists(), err
 
 
-def test_overflowing_max_entropy_mass_prints_only_the_error_line(tmp_path):
-    """No numpy warning reaches stderr ahead of the documented message."""
-    args = ["run", "--set", f"output.directory={tmp_path / 'out'}", "--set", "filter.proposal=max-entropy",
-            "--set", "scenario.process_noise=1e300"]
-    for item in TINY:
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        (["scenario.observer_speed_kn=1e307"], "[scenario] observer_headings_deg"),
+        (["filter.proposal=max-entropy", "filter.proposal_inflation=1e-10"], "[filter] proposal_inflation"),
+        (["filter.proposal=max-entropy", "scenario.process_noise=1e300"], "[filter] proposal_inflation"),
+    ],
+    ids=["observer-track-overflows", "max-entropy-mass-below-1", "max-entropy-mass-overflows"],
+)
+def test_unusable_track_or_proposal_prints_only_the_config_error_line(tmp_path, overrides, key):
+    """No numpy warning reaches stderr ahead of the config error, and nothing is written."""
+    args = ["run", "--set", f"output.directory={tmp_path / 'out'}"]
+    for item in TINY + overrides:
         args += ["--set", item]
     done = run_python("-W", "default", "-c", "import sys; from posspf.cli import main; sys.exit(main(sys.argv[1:]))", *args)
-    assert done.returncode == 1
+    assert done.returncode == 2
     (line,) = done.stderr.splitlines()
-    assert line.startswith("error: possibility mass inf is not finite: "), done.stderr
+    assert line.startswith(f"config error: {key}: "), done.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -604,7 +644,7 @@ def test_values_the_library_rejects_exit_2_naming_the_key(tmp_path, capsys, comm
     code = main([command, "--set", f"output.directory={out}"] + FAST_RUN + ["--set", f"{key}={value}"])
     assert code == 2
     section, name = key.split(".")
-    assert f"[{section}] {name}" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"config error: [{section}] {name}")
     assert not out.exists()
 
 
@@ -802,6 +842,6 @@ def test_cli_defaults_run_the_library_engagement(tmp_path):
     def as_written(values):
         return [float.hex(float(f"{v:.10g}")) for v in values]
 
-    library = run_batch(build_canonical_scenario(), "possibility", 500, 10, 20240501)
+    library = run_batch(Scenario(), "possibility", 500, 10, 20240501)
     assert column("runs.csv") == as_written(r.pos_errors[-1] for r in library.reports)
-    assert column("crlb.csv") == as_written(scenario_crlb(build_canonical_scenario()).position_bound)
+    assert column("crlb.csv") == as_written(scenario_crlb(Scenario()).position_bound)

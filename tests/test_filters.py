@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from posspf.bench import (
     FILTER_POSSIBILITY,
     FILTER_STANDARD,
-    build_canonical_scenario,
+    Scenario,
     run_single,
     sample_target_track,
     synthesize_measurements,
@@ -191,7 +191,7 @@ def test_bootstrap_init_estimate_is_the_weighted_mean_bit_for_bit():
 
 @pytest.mark.parametrize("kind", [FILTER_POSSIBILITY, FILTER_STANDARD])
 def test_run_single_first_estimate_is_the_init_estimate(kind):
-    scenario = build_canonical_scenario(scan_count=4, observer_leg_scans=2)
+    scenario = Scenario(scan_count=4, observer_leg_scans=2)
     seed, n = 11, 300
     rng_world = np.random.default_rng((seed, 0))
     z = synthesize_measurements(scenario, rng_world, sample_target_track(scenario, rng_world))

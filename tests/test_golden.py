@@ -27,7 +27,7 @@ import hashlib
 
 import pytest
 
-from posspf.bench import build_canonical_scenario, run_single
+from posspf.bench import Scenario, run_single
 from posspf.filters import PossibilityPFOptions
 
 OPTION_SETS = {
@@ -38,7 +38,7 @@ OPTION_SETS = {
 
 def run_digest(filter_kind: str, options: str | None, n: int, seed: int) -> str:
     chosen = PossibilityPFOptions() if options is None else OPTION_SETS[options]
-    report = run_single(build_canonical_scenario(), filter_kind, n, seed, options=chosen)
+    report = run_single(Scenario(), filter_kind, n, seed, options=chosen)
     digest = hashlib.sha256(report.pos_errors.tobytes())
     digest.update(report.estimate_track.tobytes())
     return digest.hexdigest()[:16]

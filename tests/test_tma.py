@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posspf.bench import build_canonical_scenario, nominal_target_track
+from posspf.bench import Scenario, nominal_target_track
 from posspf.filters import LinearGaussianTransition
 from posspf.possq import GaussianPossibility
 from posspf.tma import (
@@ -105,7 +105,7 @@ def test_dynamics_matrices_reject_non_positive_or_non_finite_arguments(build, na
 def test_canonical_observer_turns_change_velocity_only():
     # The observer's move beyond constant velocity, obs[k] - F @ obs[k-1],
     # is what run_single takes off the relative state's transition.
-    scenario = build_canonical_scenario()
+    scenario = Scenario()
     obs = scenario.observer
     F = transition_matrix(scenario.T)
     turns = [
@@ -179,7 +179,7 @@ def test_transition_possibility_peak_at_own_mean():
 
 
 def test_transition_possibility_canonical_second_scan():
-    scenario = build_canonical_scenario()
+    scenario = Scenario()
     track = nominal_target_track(scenario)
     rel = track - scenario.observer
     F = transition_matrix(scenario.T)
@@ -353,7 +353,7 @@ def test_init_prior_spread_is_positive_definite(z1):
 
 
 def test_crlb_first_scan_is_prior_spread():
-    scenario = build_canonical_scenario()
+    scenario = Scenario()
     rel = nominal_target_track(scenario) - scenario.observer
     prior = init_prior(0.0, scenario.observer[0, [1, 3]], scenario.filter_sigma)
     result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior.spread)
@@ -371,7 +371,7 @@ def test_bearing_jacobian_at_zero_range_raises():
 
 
 def test_crlb_canonical_curve_finite_and_improving():
-    scenario = build_canonical_scenario()
+    scenario = Scenario()
     rel = nominal_target_track(scenario) - scenario.observer
     prior = init_prior(0.0, scenario.observer[0, [1, 3]], scenario.filter_sigma)
     result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior.spread)
@@ -409,9 +409,9 @@ def crlb_information_form(true_relative, T, q, sigma, prior):
     sigma_deg=st.floats(min_value=0.2, max_value=3.0),
 )
 def test_crlb_curve_equals_information_form(q, bearing, heading, speed, range_m, sigma_deg):
-    scenario = build_canonical_scenario(
-        q=q, initial_bearing_deg=bearing, target_heading_deg=heading, target_speed=speed,
-        initial_range_m=range_m, filter_sigma_deg=sigma_deg,
+    scenario = Scenario(
+        q=q, initial_bearing=math.radians(bearing), target_heading=math.radians(heading), target_speed=speed,
+        initial_range=range_m, filter_sigma=math.radians(sigma_deg),
     )
     rel = nominal_target_track(scenario) - scenario.observer
     prior = init_prior(bearings_of(rel[:1])[0], scenario.observer[0, [1, 3]], scenario.filter_sigma)
@@ -429,7 +429,7 @@ def test_crlb_curve_equals_information_form(q, bearing, heading, speed, range_m,
 @example(exponent=20.0)
 @example(exponent=300.0)
 def test_crlb_stays_finite_for_any_process_noise_up_to_1e300(exponent):
-    scenario = build_canonical_scenario(q=10.0**exponent)
+    scenario = Scenario(q=10.0**exponent)
     rel = nominal_target_track(scenario) - scenario.observer
     prior = init_prior(0.0, scenario.observer[0, [1, 3]], scenario.filter_sigma)
     result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior.spread)
@@ -437,7 +437,7 @@ def test_crlb_stays_finite_for_any_process_noise_up_to_1e300(exponent):
 
 
 def test_crlb_bounds_are_positive_definite_every_scan():
-    scenario = build_canonical_scenario()
+    scenario = Scenario()
     rel = nominal_target_track(scenario) - scenario.observer
     prior = init_prior(0.0, scenario.observer[0, [1, 3]], scenario.filter_sigma)
     result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior.spread)
