@@ -22,11 +22,9 @@ from .filters import (
     systematic_resample,
 )
 from .tma import (
-    CrlbResult,
     PriorConfig,
     bearing_log_likelihood,
     bearings_of,
-    crlb_curve,
     init_prior,
     process_noise_matrix,
     transition_matrix,
@@ -39,7 +37,6 @@ from .bench import (
     Scenario,
     Table1Cell,
     is_divergent,
-    nominal_target_track,
     run_batch,
     run_single,
     sample_target_track,

@@ -1,11 +1,13 @@
-"""Scenario generation, measurement synthesis, and Monte Carlo experiments.
+"""Scenario generation, measurement synthesis, Monte Carlo experiments, and
+the reference bound.
 
-A scenario fixes the observer trajectory, the target's initial state and
+A scenario fixes the observer trajectory, the target's nominal track and
 motion model, the true measurement-noise generator, and the noise model
-the filters assume.  Runs are seeded end to end: a run's truth,
-measurements, and filter randomness are pure functions of (scenario,
-filter kind, particle count, seed), and batch aggregates are independent
-of the parallelism degree.
+the filters assume.  ``scenario_crlb`` is the recursive Cramer-Rao
+position bound along the nominal track, the benchmark's reference curve.
+Runs are seeded end to end: a run's truth, measurements, and filter
+randomness are pure functions of (scenario, filter kind, particle count,
+seed), and batch aggregates are independent of the parallelism degree.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .filters import (
 from .possq import GaussianPossibility, whole_count
 from .tma import (
     PriorConfig,
+    bearing_jacobian,
     bearing_log_likelihood,
     bearings_of,
-    crlb_curve,
     init_prior,
     prior_spread,
     process_noise_matrix,
@@ -116,8 +118,11 @@ class Scenario:
     degrees, changing leg every ``observer_leg_scans`` scans and holding
     its last heading.  ``T`` is the sampling interval and ``q`` the
     process-noise intensity in m^2/s^3.  Each value is checked once, and
-    the known observer state per scan, shape (scans, 4), the target's
-    initial state and one scan's process noise derive from them.
+    the known observer state per scan, shape (scans, 4), the transition
+    ``F``, the target's noise-free track, shape (scans, 4), and one scan's
+    process noise derive from them.  The target track must stay finite
+    relative to the observer and never meet it, so that every nominal
+    bearing is defined.
     """
 
     scan_count: int = 40
@@ -133,7 +138,8 @@ class Scenario:
     true_noise: NoiseModel = NoiseModel(math.radians(1.0))
     filter_sigma: float = math.radians(1.0)
     observer: np.ndarray = field(init=False, repr=False, compare=False)
-    target_init: np.ndarray = field(init=False, repr=False, compare=False)
+    F: np.ndarray = field(init=False, repr=False, compare=False)
+    nominal_track: np.ndarray = field(init=False, repr=False, compare=False)
     # One scan's zero-mean move, for the truth and the filters alike.
     process_noise: GaussianPossibility = field(init=False, repr=False, compare=False)
 
@@ -178,12 +184,27 @@ class Scenario:
         if np.allclose(velocities, velocities[0]):
             raise ValueError("observer must manoeuvre at least once (range observability)")
 
+        F = transition_matrix(self.T)
         tgt_pos = _east_north(self.initial_range, self.initial_bearing)
         tgt_vel = _east_north(self.target_speed, self.target_heading)
+        track = np.empty((scan_count, 4))
+        track[0] = [tgt_pos[0], tgt_vel[0], tgt_pos[1], tgt_vel[1]]
+        with np.errstate(over="ignore", invalid="ignore"):  # a track that overflows is refused as not finite
+            for k in range(1, scan_count):
+                track[k] = F @ track[k - 1]
+            rel = track - obs
+            # The squared range as the bound's bearing gradient computes it: 0 also where it underflows.
+            met = np.flatnonzero(rel[:, 0] * rel[:, 0] + rel[:, 2] * rel[:, 2] == 0.0)
+        if not np.all(np.isfinite(rel)):
+            raise ValueError("target states relative to the observer must be finite")
+        if met.size:
+            raise ValueError(f"target range is zero at scan {met[0] + 1}, where its bearing gradient is undefined")
+
         object.__setattr__(self, "scan_count", scan_count)
         object.__setattr__(self, "filter_sigma", sigma)
         object.__setattr__(self, "observer", obs)
-        object.__setattr__(self, "target_init", np.array([tgt_pos[0], tgt_vel[0], tgt_pos[1], tgt_vel[1]]))
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "nominal_track", track)
         object.__setattr__(self, "process_noise", noise)
 
 
@@ -192,21 +213,11 @@ def _east_north(length: float, angle: float) -> np.ndarray:
     return length * np.array([np.sin(angle), np.cos(angle)])
 
 
-def nominal_target_track(scenario: Scenario) -> np.ndarray:
-    """Noise-free constant-velocity target trajectory, shape (scans, 4)."""
-    F = transition_matrix(scenario.T)
-    track = np.empty((scenario.scan_count, 4))
-    track[0] = scenario.target_init
-    for k in range(1, scenario.scan_count):
-        track[k] = F @ track[k - 1]
-    return track
-
-
 def sample_target_track(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """Target trajectory realisation with process noise."""
-    F = transition_matrix(scenario.T)
+    """Target trajectory realisation with process noise, from the nominal track's first state."""
+    F = scenario.F
     track = np.empty((scenario.scan_count, 4))
-    track[0] = scenario.target_init
+    track[0] = scenario.nominal_track[0]
     for k in range(1, scenario.scan_count):
         track[k] = F @ track[k - 1] + scenario.process_noise.deviation(rng, 1)[0]
     return track
@@ -259,7 +270,7 @@ def run_single(
 
     obs = scenario.observer
     prior_poss = init_prior(z[0], obs[0, [1, 3]], scenario.filter_sigma, prior)
-    F = transition_matrix(scenario.T)
+    F = scenario.F
     transition = LinearGaussianTransition(F, scenario.process_noise)
     # Looked up per run, so a patched module attribute is the one bound.
     log_lik = partial(bearing_log_likelihood, sigma=scenario.filter_sigma)
@@ -431,20 +442,36 @@ def table1_experiment(
     return cells
 
 
-def scenario_crlb(scenario: Scenario, prior: PriorConfig = PriorConfig()):
-    """Position-bound curve along the nominal trajectory, from the prior spread.
+def scenario_crlb(scenario: Scenario, prior: PriorConfig = PriorConfig()) -> np.ndarray:
+    """RMS position bound per scan, in metres, along the nominal track.
+
+    Covariance form of the recursive Cramer-Rao bound
+    J_k = [F J_{k-1}^-1 F' + Q]^-1 + H_k' H_k / sigma^2 (Tichavsky, Muravchik
+    & Nehorai 1998): predict P = F P F' + Q, then a scalar-gain Joseph-form
+    update with H_k the bearing gradient at the nominal relative state.  P_1
+    is the prior's spread at the first nominal bearing.  Nothing is
+    inverted, so large finite q stays finite.
 
     Raises ValueError naming the first scan whose bound is not finite, as
     when a spread overflows.
     """
-    rel = nominal_target_track(scenario) - scenario.observer
-    z1 = bearings_of(rel[:1])[0]
+    rel = scenario.nominal_track - scenario.observer
+    F, Q, sigma = scenario.F, scenario.process_noise.spread, scenario.filter_sigma
+    bound = np.empty(scenario.scan_count)
     with np.errstate(over="ignore", invalid="ignore"):
-        P1 = prior_spread(z1, scenario.filter_sigma, prior)
-        result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, P1)
-    bad = np.flatnonzero(~np.isfinite(result.position_bound))
+        P = prior_spread(bearings_of(rel[:1])[0], sigma, prior)
+        bound[0] = np.sqrt(P[0, 0] + P[2, 2])
+        for k in range(1, scenario.scan_count):
+            P = F @ P @ F.T + Q
+            H = bearing_jacobian(rel[k])
+            PH = P @ H
+            gain = PH / (H @ PH + sigma**2)
+            A = np.eye(4) - np.outer(gain, H)
+            P = A @ P @ A.T + sigma**2 * np.outer(gain, gain)
+            bound[k] = np.sqrt(P[0, 0] + P[2, 2])
+    bad = np.flatnonzero(~np.isfinite(bound))
     if bad.size:
         raise ValueError(
             f"position bound is not finite at scan {bad[0] + 1} ({bad.size} of {scenario.scan_count} scans)"
         )
-    return result
+    return bound

@@ -12,10 +12,11 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error.  Every
 config key is checked against its domain when the config loads, so any
 bad value exits 2 naming ``[section] key`` before a command starts, even
 a key the command does not read, and counts beyond their budgets.
-``main`` computes the bound curve before any command starts, and
-``scenario_crlb`` raises when it is not finite at some scan, so that case
-exits 1 and writes no CSV, on every command.  Outputs are byte-identical
-across repeated invocations with the same config.
+``main`` computes the position bound along the target's nominal track,
+``scenario_crlb``, before any command starts; it raises when the bound is
+not finite at some scan, so that case exits 1 and writes no CSV, on every
+command.  Outputs are byte-identical across repeated invocations with the
+same config.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def main(argv=None) -> int:
         # Scenario, prior, then bound, for every command before it runs or writes anything.
         scenario = cfg.scenario()
         prior = cfg.prior()
-        return COMMANDS[args.command][0](cfg, scenario, prior, scenario_crlb(scenario, prior).position_bound)
+        return COMMANDS[args.command][0](cfg, scenario, prior, scenario_crlb(scenario, prior))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -178,10 +178,11 @@ class Config:
             self._fail("scenario", "sample_time_s", "gives a process noise matrix that is not finite and positive "
                        f"definite ({exc.__cause__}); process_noise also shapes it")
         except ValueError as exc:
-            # Every key is in its domain, so only the observer track as a whole
-            # is left: it must manoeuvre, and its positions must not overflow.
-            self._fail("scenario", "observer_headings_deg", f"{exc} (the track also depends on "
-                       "observer_speed_kn, observer_leg_scans, sample_time_s and scans)")
+            # Every key is in its domain, so only the tracks as a whole are left: the
+            # observer's must manoeuvre, and neither may overflow nor meet the other.
+            self._fail("scenario", "observer_headings_deg", f"{exc} (the tracks also depend on observer_speed_kn, "
+                       "observer_leg_scans, target_range_km, target_bearing_deg, target_speed_kn, "
+                       "target_heading_deg, sample_time_s and scans)")
         try:
             self.filter_options().proposal_sampler(scenario.process_noise)
         except ValueError as exc:

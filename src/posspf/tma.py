@@ -1,8 +1,7 @@
 """Bearings-only target-motion-analysis problem definition.
 
-Relative-state constant-velocity dynamics, the bearing measurement and its
-likelihood, measurement-based prior construction, and the recursive
-Cramer-Rao position bound used as the benchmark reference curve.
+Relative-state constant-velocity dynamics, the bearing measurement with its
+likelihood and gradient, and measurement-based prior construction.
 
 State vectors are ordered (x, vx, y, vy) with x east and y north, in SI
 units (metres, seconds, radians).  Bearings are measured clockwise from
@@ -141,41 +140,3 @@ def bearing_jacobian(rel_state: np.ndarray) -> np.ndarray:
     if r_sq == 0.0:
         raise ValueError("bearing gradient undefined at zero range")
     return np.array([y / r_sq, 0.0, -x / r_sq, 0.0])
-
-
-@dataclass
-class CrlbResult:
-    """Per-scan bound matrices and the RMS position bound curve."""
-
-    bounds: np.ndarray          # (scans, 4, 4)
-    position_bound: np.ndarray  # (scans,) metres
-
-
-def crlb_curve(
-    true_relative: np.ndarray,
-    T: float,
-    q: float,
-    sigma: float,
-    spread: np.ndarray,
-) -> CrlbResult:
-    """Recursive Cramer-Rao bound along a known relative trajectory.
-
-    Covariance form of the information recursion
-    J_k = [F J_{k-1}^-1 F' + Q]^-1 + H_k' H_k / sigma^2 (Tichavsky, Muravchik
-    & Nehorai 1998): predict P = F P F' + Q, then a scalar-gain Joseph-form
-    update with H_k the bearing gradient at the true relative state.  P_1 is
-    ``spread``, the prior's.  Nothing is inverted, so large finite q stays finite.
-    """
-    F = transition_matrix(T)
-    Q = process_noise_matrix(T, q)
-    bounds = np.empty((true_relative.shape[0], 4, 4))
-    bounds[0] = P = spread
-    for k in range(1, len(bounds)):
-        P = F @ P @ F.T + Q
-        H = bearing_jacobian(true_relative[k])
-        PH = P @ H
-        gain = PH / (H @ PH + sigma**2)
-        A = np.eye(4) - np.outer(gain, H)
-        bounds[k] = P = A @ P @ A.T + sigma**2 * np.outer(gain, gain)
-    position_bound = np.sqrt(bounds[:, 0, 0] + bounds[:, 2, 2])
-    return CrlbResult(bounds=bounds, position_bound=position_bound)

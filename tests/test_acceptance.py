@@ -246,7 +246,7 @@ def canonical():
 
 
 def test_criterion_5_matched_model_parity(canonical):
-    bound = float(scenario_crlb(canonical).position_bound[-1])
+    bound = float(scenario_crlb(canonical)[-1])
     poss = run_batch(canonical, FILTER_POSSIBILITY, 5000, 100, BASE_SEED, parallelism=4)
     std = run_batch(canonical, FILTER_STANDARD, 5000, 100, BASE_SEED, parallelism=4)
     rms_p, rms_s = float(poss.rms_m[-1]), float(std.rms_m[-1])
@@ -255,7 +255,7 @@ def test_criterion_5_matched_model_parity(canonical):
     below = rms_p <= 3.0 * bound and rms_s <= 3.0 * bound
     # Post-observability dominance (supplementary; the range becomes
     # observable at the first manoeuvre, scan 11).
-    crlb = scenario_crlb(canonical).position_bound
+    crlb = scenario_crlb(canonical)
     dominance = bool(np.all(poss.rms_m[10:] >= 0.95 * crlb[10:]))
     ok = parity and above and below
     report(
@@ -332,21 +332,19 @@ def test_criterion_7_mild_mismatch_robustness(canonical):
 
 
 def test_criterion_8_invariant_suite(canonical, tmp_path):
-    from posspf.bench import nominal_target_track, synthesize_measurements
+    from posspf.bench import synthesize_measurements
     from posspf.filters import PossibilityPFOptions
-    from posspf.tma import process_noise_matrix, transition_matrix
 
     failures = []
 
     # (a, b, c) weight conventions and MAP membership on the canonical problem
     scenario = Scenario(scan_count=10, observer_leg_scans=3)
     rng_world = np.random.default_rng((3, 0))
-    z = synthesize_measurements(scenario, rng_world, nominal_target_track(scenario))
+    z = synthesize_measurements(scenario, rng_world, scenario.nominal_track)
     sigma = scenario.filter_sigma
     prior = init_prior(z[0], scenario.observer[0, [1, 3]], sigma=sigma)
-    F = transition_matrix(scenario.T)
-    Q = process_noise_matrix(scenario.T, scenario.q)
-    transition = LinearGaussianTransition(F, Q)
+    F = scenario.F
+    transition = LinearGaussianTransition(F, scenario.process_noise)
     log_lik = lambda states, meas: bearing_log_likelihood(states, meas, sigma)
     options = PossibilityPFOptions()
 

@@ -17,7 +17,6 @@ from posspf.bench import (
     ProcessNoiseError,
     Scenario,
     is_divergent,
-    nominal_target_track,
     run_batch,
     run_single,
     sample_target_track,
@@ -48,7 +47,7 @@ def test_canonical_defaults():
 
 def test_canonical_initial_bearing_is_zero():
     s = Scenario()
-    rel = nominal_target_track(s) - s.observer
+    rel = s.nominal_track - s.observer
     assert bearings_of(rel[:1])[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -84,7 +83,13 @@ def test_scenario_derives_its_tracks_from_its_parameters():
         [[0, 0, 0, 2], [0, 0, 20, 2], [0, 2, 40, 0], [20, 2, 40, 0], [40, 2, 40, 0]],
         atol=1e-12,
     )
-    np.testing.assert_allclose(s.target_init, [5e3, 0.0, 0.0, -3.0], atol=1e-9)
+    # East of the observer, then south at 3 m/s: each state moves by F, the constant-velocity step.
+    np.testing.assert_allclose(
+        s.nominal_track,
+        [[5e3, 0, 0, -3], [5e3, 0, -30, -3], [5e3, 0, -60, -3], [5e3, 0, -90, -3], [5e3, 0, -120, -3]],
+        atol=1e-9,
+    )
+    np.testing.assert_array_equal(s.F, [[1, 10, 0, 0], [0, 1, 0, 0], [0, 0, 1, 10], [0, 0, 0, 1]])
 
 
 def test_scenario_rejects_non_finite_observer():
@@ -92,6 +97,25 @@ def test_scenario_rejects_non_finite_observer():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="observer states must be finite"):
             Scenario(observer_speed=1e307)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # North at 100 m a scan onto the stationary target 10 km north: they meet at scan 101.
+        (dict(scan_count=102, target_speed=0.0, observer_speed=2.5, observer_headings=(0.0, math.pi),
+              observer_leg_scans=101), r"^target range is zero at scan 101, where its bearing gradient is undefined$"),
+        (dict(target_speed=5e305), r"^target states relative to the observer must be finite$"),
+        # A range that underflows when squared is as undefined as an exact zero.
+        (dict(initial_range=1e-200, target_speed=0.0), r"^target range is zero at scan 1, "),
+    ],
+    ids=["target-meets-observer", "target-track-overflows", "target-range-underflows"],
+)
+def test_scenario_refuses_a_target_track_with_no_nominal_bearing(overrides, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            Scenario(**overrides)
 
 
 def test_invalid_override_values_rejected():
@@ -112,8 +136,8 @@ def test_invalid_override_values_rejected():
 
 def test_measurements_equal_true_bearings_in_small_noise_limit():
     s = Scenario(true_noise=NoiseModel(math.radians(1e-12)))
-    rel = nominal_target_track(s) - s.observer
-    z = synthesize_measurements(s, np.random.default_rng(0), nominal_target_track(s))
+    rel = s.nominal_track - s.observer
+    z = synthesize_measurements(s, np.random.default_rng(0), s.nominal_track)
     np.testing.assert_allclose(z, bearings_of(rel), atol=1e-10)
 
 
@@ -151,7 +175,7 @@ def test_student_t_heavy_tails_widen_spread():
 
 def test_sampled_target_track_carries_process_noise():
     s = Scenario()
-    nominal = nominal_target_track(s)
+    nominal = s.nominal_track
     noisy = sample_target_track(s, np.random.default_rng(3))
     assert not np.allclose(noisy, nominal)
     with pytest.raises(ValueError, match="process noise intensity must be positive"):
@@ -523,11 +547,12 @@ def test_divergence_monotone_in_tail_dof():
 
 def test_scenario_crlb_first_scan_matches_prior():
     s = Scenario()
-    result = scenario_crlb(s)
+    bound = scenario_crlb(s)
     cross = (10e3 * s.filter_sigma) ** 2
     expected_scan1 = math.sqrt(cross + 3.5e3**2)
-    assert result.position_bound[0] == pytest.approx(expected_scan1, rel=1e-9)
-    assert np.all(np.isfinite(result.position_bound))
+    assert isinstance(bound, np.ndarray) and bound.shape == (s.scan_count,)
+    assert bound[0] == pytest.approx(expected_scan1, rel=1e-9)
+    assert np.all(np.isfinite(bound))
 
 
 @pytest.mark.parametrize(
@@ -542,10 +567,3 @@ def test_scenario_crlb_raises_naming_the_first_non_finite_scan(recwarn, scenario
         scenario_crlb(scenario, prior)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
-
-def test_scenario_crlb_uses_every_prior_field():
-    s = Scenario()
-    prior = PriorConfig(range_mean=12e3, range_sigma=2e3, vel_sigma=3.0)
-    scan1 = scenario_crlb(s, prior).bounds[0]
-    # Due north, the range variance lies on y and the cross-range variance on x.
-    np.testing.assert_allclose(np.diag(scan1), [(12e3 * s.filter_sigma) ** 2, 9.0, 2e3**2, 9.0], rtol=1e-9)

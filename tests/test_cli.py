@@ -59,7 +59,7 @@ def test_config_defaults_are_the_library_defaults():
     cfg = load_config(None, [])
     got, want = cfg.scenario(), Scenario()
     assert got == want
-    for name in ("observer", "target_init"):  # derived from the compared fields
+    for name in ("observer", "nominal_track", "F"):  # derived from the compared fields
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert cfg.prior() == PriorConfig()
     assert cfg.filter_options() == PossibilityPFOptions()
@@ -536,6 +536,14 @@ RUNTIME_FAILURES = (
     "spread matrix is not positive definite",
     "the spread is too wide to water-pour",
 )
+# The observer drives north at exactly 2.5 m/s onto the stationary target, 10 km north, at scan 101.
+TARGET_MEETS_OBSERVER = (
+    ("scenario.scans", "102"),
+    ("scenario.target_speed_kn", "0"),
+    ("scenario.observer_speed_kn", "4.859611231101511"),
+    ("scenario.observer_headings_deg", "0, 180"),
+    ("scenario.observer_leg_scans", "101"),
+)
 FOUND_CASES = [
     ("scenario.sample_time_s", "inf"),
     ("scenario.target_speed_kn", "-1"),
@@ -570,6 +578,8 @@ def assert_finite_cells(out):
 @example(command="run", overrides={"filter.proposal": "max-entropy", "scenario.process_noise": "1e300"})
 @example(command="run", overrides={"filter.proposal_inflation": "1.7976931348623157e308"})
 @example(command="crlb", overrides={"scenario.observer_speed_kn": "1e307"})
+@example(command="crlb", overrides=dict(TARGET_MEETS_OBSERVER))
+@example(command="crlb", overrides={"scenario.target_speed_kn": "1e306", "scenario.scans": "40"})
 def test_no_command_exits_0_with_a_non_finite_cell(command, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -592,18 +602,22 @@ def test_no_command_exits_0_with_a_non_finite_cell(command, overrides):
             assert not out.exists(), err
 
 
+@pytest.mark.parametrize("command", ["run", "table1", "crlb"])
 @pytest.mark.parametrize(
     "overrides, key",
     [
         (["scenario.observer_speed_kn=1e307"], "[scenario] observer_headings_deg"),
+        ([f"{key}={value}" for key, value in TARGET_MEETS_OBSERVER], "[scenario] observer_headings_deg"),
+        (["scenario.target_speed_kn=1e306", "scenario.scans=40"], "[scenario] observer_headings_deg"),
         (["filter.proposal=max-entropy", "filter.proposal_inflation=1e-10"], "[filter] proposal_inflation"),
         (["filter.proposal=max-entropy", "scenario.process_noise=1e300"], "[filter] proposal_inflation"),
     ],
-    ids=["observer-track-overflows", "max-entropy-mass-below-1", "max-entropy-mass-overflows"],
+    ids=["observer-track-overflows", "target-meets-observer", "target-track-overflows",
+         "max-entropy-mass-below-1", "max-entropy-mass-overflows"],
 )
-def test_unusable_track_or_proposal_prints_only_the_config_error_line(tmp_path, overrides, key):
+def test_unusable_track_or_proposal_prints_only_the_config_error_line(tmp_path, command, overrides, key):
     """No numpy warning reaches stderr ahead of the config error, and nothing is written."""
-    args = ["run", "--set", f"output.directory={tmp_path / 'out'}"]
+    args = [command, "--set", f"output.directory={tmp_path / 'out'}"]
     for item in TINY + overrides:
         args += ["--set", item]
     done = run_python("-W", "default", "-c", "import sys; from posspf.cli import main; sys.exit(main(sys.argv[1:]))", *args)
@@ -770,7 +784,7 @@ def test_crlb_first_scan_is_prior_position_bound(tmp_path):
     assert float(first[2]) == pytest.approx(expected, rel=1e-9)
 
 
-def test_crlb_curve_finite_and_improves_after_manoeuvre(tmp_path):
+def test_crlb_csv_is_finite_and_improves_after_manoeuvre(tmp_path):
     code = main(["crlb", "--set", f"output.directory={tmp_path}"])
     assert code == 0
     rows = [line.split(",") for line in read_lines(tmp_path / "crlb.csv")[2:]]
@@ -844,4 +858,4 @@ def test_cli_defaults_run_the_library_engagement(tmp_path):
 
     library = run_batch(Scenario(), "possibility", 500, 10, 20240501)
     assert column("runs.csv") == as_written(r.pos_errors[-1] for r in library.reports)
-    assert column("crlb.csv") == as_written(scenario_crlb(Scenario()).position_bound)
+    assert column("crlb.csv") == as_written(scenario_crlb(Scenario()))

@@ -1,5 +1,6 @@
 """Source hygiene: the library states its checks as exceptions, never as ``assert``,
-and its docstrings cross-reference only names that exist.
+its docstrings cross-reference only names that exist, and every name the package
+exports is used by the library itself.
 
 ``python -O`` strips ``assert`` statements, so a check written as one
 vanishes exactly where nobody watches: a failed precondition then runs on
@@ -62,3 +63,24 @@ def test_docstring_cross_references_resolve():
                     stale.append(f"{path.name}: :{role}:`{target}`")
     assert seen, "no cross-references found: the pattern no longer matches the docstrings"
     assert not stale, f"docstring references to names that do not exist: {stale}"
+
+
+def test_every_exported_name_is_used_by_the_library():
+    # No public name exists only so that a test can import it: each name the
+    # package imports is read as a name or an attribute in another module.
+    init = next(path for path in SOURCES if path.name == "__init__.py")
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init.read_text(), filename=str(init)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in SOURCES
+        if path != init
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert len(exported) >= 20, exported
+    assert not exported - used, f"exported names no other library module uses: {sorted(exported - used)}"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posspf.bench import Scenario, nominal_target_track
+from posspf.bench import Scenario, scenario_crlb
 from posspf.filters import LinearGaussianTransition
 from posspf.possq import GaussianPossibility
 from posspf.tma import (
@@ -15,7 +15,6 @@ from posspf.tma import (
     bearing_jacobian,
     bearing_log_likelihood,
     bearings_of,
-    crlb_curve,
     init_prior,
     process_noise_matrix,
     transition_matrix,
@@ -180,8 +179,7 @@ def test_transition_possibility_peak_at_own_mean():
 
 def test_transition_possibility_canonical_second_scan():
     scenario = Scenario()
-    track = nominal_target_track(scenario)
-    rel = track - scenario.observer
+    rel = scenario.nominal_track - scenario.observer
     F = transition_matrix(scenario.T)
     Q = process_noise_matrix(scenario.T, scenario.q)
     offset = F @ scenario.observer[0] - scenario.observer[1]
@@ -352,14 +350,6 @@ def test_init_prior_spread_is_positive_definite(z1):
 # ---------------------------------------------------------------------------
 
 
-def test_crlb_first_scan_is_prior_spread():
-    scenario = Scenario()
-    rel = nominal_target_track(scenario) - scenario.observer
-    prior = init_prior(0.0, scenario.observer[0, [1, 3]], scenario.filter_sigma)
-    result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior.spread)
-    np.testing.assert_allclose(result.bounds[0], prior.spread)
-
-
 def test_bearing_jacobian_due_north():
     H = bearing_jacobian(np.array([0.0, 0.0, 10e3, 0.0]))
     np.testing.assert_allclose(H, [1e-4, 0.0, 0.0, 0.0], atol=1e-15)
@@ -371,18 +361,15 @@ def test_bearing_jacobian_at_zero_range_raises():
 
 
 def test_crlb_canonical_curve_finite_and_improving():
-    scenario = Scenario()
-    rel = nominal_target_track(scenario) - scenario.observer
-    prior = init_prior(0.0, scenario.observer[0, [1, 3]], scenario.filter_sigma)
-    result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior.spread)
-    assert np.all(np.isfinite(result.position_bound))
+    bound = scenario_crlb(Scenario())
+    assert np.all(np.isfinite(bound))
     # Range becomes observable at the first manoeuvre (scan 11): the bound
     # shrinks monotonically while information dominates the q-diffusion floor,
     # and the final bound sits far below every first-leg value.
     first_turn = 10
-    information_phase = result.position_bound[first_turn : first_turn + 10]
+    information_phase = bound[first_turn : first_turn + 10]
     assert np.all(np.diff(information_phase) < 0)
-    assert result.position_bound[-1] < 0.1 * result.position_bound[:first_turn].min()
+    assert bound[-1] < 0.1 * bound[:first_turn].min()
 
 
 def crlb_information_form(true_relative, T, q, sigma, prior):
@@ -407,20 +394,23 @@ def crlb_information_form(true_relative, T, q, sigma, prior):
     speed=st.floats(min_value=0.0, max_value=10.0),
     range_m=st.floats(min_value=3e3, max_value=30e3),
     sigma_deg=st.floats(min_value=0.2, max_value=3.0),
+    range_mean=st.floats(min_value=3e3, max_value=30e3),
+    range_sigma=st.floats(min_value=0.5e3, max_value=10e3),
+    vel_sigma=st.floats(min_value=0.5, max_value=10.0),
 )
-def test_crlb_curve_equals_information_form(q, bearing, heading, speed, range_m, sigma_deg):
+def test_crlb_equals_information_form(q, bearing, heading, speed, range_m, sigma_deg, range_mean, range_sigma, vel_sigma):
+    # Every prior field moves the per-scan bound: the range fields from scan 1, vel_sigma from scan 2 on.
     scenario = Scenario(
         q=q, initial_bearing=math.radians(bearing), target_heading=math.radians(heading), target_speed=speed,
         initial_range=range_m, filter_sigma=math.radians(sigma_deg),
     )
-    rel = nominal_target_track(scenario) - scenario.observer
-    prior = init_prior(bearings_of(rel[:1])[0], scenario.observer[0, [1, 3]], scenario.filter_sigma)
-    result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior.spread)
+    prior_config = PriorConfig(range_mean, range_sigma, vel_sigma)
+    rel = scenario.nominal_track - scenario.observer
+    prior = init_prior(bearings_of(rel[:1])[0], scenario.observer[0, [1, 3]], scenario.filter_sigma, prior_config)
     reference = crlb_information_form(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
-    np.testing.assert_allclose(result.position_bound, np.sqrt(reference[:, 0, 0] + reference[:, 2, 2]), rtol=1e-9)
-    for bound, ref in zip(result.bounds, reference):
-        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
-        np.testing.assert_allclose(bound / scale, ref / scale, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(
+        scenario_crlb(scenario, prior_config), np.sqrt(reference[:, 0, 0] + reference[:, 2, 2]), rtol=1e-9
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -429,17 +419,4 @@ def test_crlb_curve_equals_information_form(q, bearing, heading, speed, range_m,
 @example(exponent=20.0)
 @example(exponent=300.0)
 def test_crlb_stays_finite_for_any_process_noise_up_to_1e300(exponent):
-    scenario = Scenario(q=10.0**exponent)
-    rel = nominal_target_track(scenario) - scenario.observer
-    prior = init_prior(0.0, scenario.observer[0, [1, 3]], scenario.filter_sigma)
-    result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior.spread)
-    assert np.all(np.isfinite(result.bounds)) and np.all(np.isfinite(result.position_bound))
-
-
-def test_crlb_bounds_are_positive_definite_every_scan():
-    scenario = Scenario()
-    rel = nominal_target_track(scenario) - scenario.observer
-    prior = init_prior(0.0, scenario.observer[0, [1, 3]], scenario.filter_sigma)
-    result = crlb_curve(rel, scenario.T, scenario.q, scenario.filter_sigma, prior.spread)
-    for bound in result.bounds:
-        np.linalg.cholesky(bound + bound.T)  # symmetrise against roundoff
+    assert np.all(np.isfinite(scenario_crlb(Scenario(q=10.0**exponent))))
