@@ -16,10 +16,10 @@ import dataclasses
 import itertools
 import math
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,6 +45,9 @@ from .tma import (
     transition_matrix,
     wrap_angle,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 DIVERGENCE_THRESHOLD_M = 1000.0
 
@@ -377,6 +380,9 @@ def run_batch(
     arglist = [(scenario, filter_kind, n, base_seed + i, prior, options) for i in range(runs)]
     workers = _workers(parallelism, runs)
     if workers > 1:
+        # Imported here: the pool's modules cost a serial command's set-up about 20 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         with nullcontext(pool) if pool is not None else ProcessPoolExecutor(max_workers=workers) as executor:
             reports = list(executor.map(_run_single_args, arglist, chunksize=max(1, runs // (4 * workers))))
     else:
@@ -424,6 +430,8 @@ def table1_experiment(
     noises = [NoiseModel(scenario.true_noise.sigma, float(nu)) for nu in nu_grid]
     workers = _workers(parallelism, whole_count("runs", runs))
     cells = []
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # as in run_batch, only when a pool starts
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for filter_kind, n, noise in itertools.product((FILTER_STANDARD, FILTER_POSSIBILITY), n_grid, noises):
             noisy = dataclasses.replace(scenario, true_noise=noise)

@@ -429,7 +429,7 @@ class SerialPool:
     [(10**6, 2, 64, 2), (10**6, 5, 3, 3), (2, 5, 3, 2), (3, 3, 1, None), (1, 4, 8, None)],
 )
 def test_batch_starts_at_most_one_worker_per_run_and_core(monkeypatch, parallelism, runs, cores, workers):
-    monkeypatch.setattr("posspf.bench.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr("posspf.bench.os.sched_getaffinity", lambda pid: set(range(cores)))
     monkeypatch.setattr(SerialPool, "started", [])
     s = Scenario(scan_count=6, observer_leg_scans=2)
@@ -442,7 +442,7 @@ def test_batch_starts_at_most_one_worker_per_run_and_core(monkeypatch, paralleli
 
 @pytest.fixture
 def two_cores_serial_pool(monkeypatch):
-    monkeypatch.setattr("posspf.bench.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr("posspf.bench.os.sched_getaffinity", lambda pid: set(range(2)))
     monkeypatch.setattr(SerialPool, "started", [])
     monkeypatch.setattr(SerialPool, "stopped", [])

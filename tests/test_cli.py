@@ -16,14 +16,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from posspf.bench import Scenario, run_batch, scenario_crlb
 from posspf.cli import main
-from posspf.config import KEYS, KNOT, PARSERS, ConfigError, load_config
+from posspf.config import DEGREE, KEYS, KNOT, PARSERS, ConfigError, load_config
 from posspf.filters import PossibilityPFOptions
-from posspf.tma import PriorConfig
+from posspf.tma import PriorConfig, init_prior, prior_spread
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -376,15 +376,16 @@ def test_degenerate_process_noise_exits_2_on_every_command(tmp_path, capsys, com
 
 
 @pytest.mark.parametrize(
-    "override, first_bad_scan",
+    "overrides, first_bad_scan",
     [
-        ("filter.sigma_deg=1e300", 1),
-        ("filter.range_prior_km=1e300", 1),
+        # Prior scales whose squares overflow but whose ratio is in range.
+        (["filter.range_prior_km=1e300", "filter.range_prior_sigma_km=1e300"], 1),
+        (["filter.velocity_prior_sigma_kn=1e300"], 2),
     ],
 )
-def test_non_finite_bound_exits_1_naming_scan_and_writes_no_csv(tmp_path, capsys, override, first_bad_scan):
+def test_non_finite_bound_exits_1_naming_scan_and_writes_no_csv(tmp_path, capsys, overrides, first_bad_scan):
     out = tmp_path / "out"
-    code = main(["crlb", "--set", override, "--set", f"output.directory={out}"])
+    code = main(["crlb", "--set", f"output.directory={out}"] + [arg for item in overrides for arg in ("--set", item)])
     assert code == 1
     assert f"not finite at scan {first_bad_scan} " in capsys.readouterr().err
     assert not out.exists()
@@ -466,9 +467,9 @@ def test_run_checks_the_bound_before_the_batch_starts(tmp_path, capsys, monkeypa
     started = []
     monkeypatch.setattr("posspf.cli.run_batch", lambda *args: started.append(args))
     out = tmp_path / "out"
-    code = main(["run", "--set", "filter.sigma_deg=1e300", "--set", f"output.directory={out}"] + FAST_RUN)
+    code = main(["run", "--set", "filter.velocity_prior_sigma_kn=1e300", "--set", f"output.directory={out}"] + FAST_RUN)
     assert code == 1
-    assert "not finite at scan 1 " in capsys.readouterr().err
+    assert "not finite at scan 2 " in capsys.readouterr().err
     assert started == []
     assert not out.exists()
 
@@ -477,9 +478,9 @@ def test_table1_checks_the_bound_before_the_grid_starts(tmp_path, capsys, monkey
     started = []
     monkeypatch.setattr("posspf.cli.table1_experiment", lambda *args: started.append(args))
     out = tmp_path / "out"
-    code = main(["table1", "--set", "filter.range_prior_km=5e155", "--set", f"output.directory={out}"] + FAST_RUN)
+    code = main(["table1", "--set", "filter.velocity_prior_sigma_kn=1e300", "--set", f"output.directory={out}"] + FAST_RUN)
     assert code == 1
-    assert "not finite at scan 1 " in capsys.readouterr().err
+    assert "not finite at scan 2 " in capsys.readouterr().err
     assert started == []
     assert not out.exists()
 
@@ -526,14 +527,12 @@ FUZZ_OVERRIDES = st.dictionaries(st.sampled_from(sorted(FUZZED_KEYS)), st.none()
 )
 TINY = ["experiment.runs=2", "filter.particles=50", "scenario.scans=12", "scenario.observer_leg_scans=3",
         "experiment.parallelism=1", "experiment.n_grid=50", "experiment.nu_grid=3"]
-# The documented runtime failures (README, exit codes).  The last two are a
-# prior spread that is singular in floating point, and a prior spread whose
-# mass overflows when max-entropy water-pours it: they depend on several keys
-# and on the first measured bearing.
+# The documented runtime failures (README, exit codes).  The last is a prior
+# spread whose mass overflows when max-entropy water-pours it.  A singular
+# prior spread exits 2 at load (test_accepted_priors_factor_at_every_first_bearing).
 RUNTIME_FAILURES = (
     "position bound is not finite at scan",
     "runs diverged",
-    "spread matrix is not positive definite",
     "the spread is too wide to water-pour",
 )
 # The observer drives north at exactly 2.5 m/s onto the stationary target, 10 km north, at scan 101.
@@ -602,6 +601,12 @@ def test_no_command_exits_0_with_a_non_finite_cell(command, overrides):
             assert not out.exists(), err
 
 
+# Mass (2 pi)^2 * 1 m * 1 m * (0.01 kn)^2 = 0.00104.
+MAX_ENTROPY_PRIOR_MASS_BELOW_1 = ["filter.proposal=max-entropy", "filter.range_prior_sigma_km=0.001",
+                                  "filter.range_prior_km=1", "filter.sigma_deg=0.0573",
+                                  "filter.velocity_prior_sigma_kn=0.01"]
+
+
 @pytest.mark.parametrize("command", ["run", "table1", "crlb"])
 @pytest.mark.parametrize(
     "overrides, key",
@@ -611,9 +616,11 @@ def test_no_command_exits_0_with_a_non_finite_cell(command, overrides):
         (["scenario.target_speed_kn=1e306", "scenario.scans=40"], "[scenario] observer_headings_deg"),
         (["filter.proposal=max-entropy", "filter.proposal_inflation=1e-10"], "[filter] proposal_inflation"),
         (["filter.proposal=max-entropy", "scenario.process_noise=1e300"], "[filter] proposal_inflation"),
+        (["filter.sigma_deg=1e-200"], "[filter] sigma_deg"),
+        (MAX_ENTROPY_PRIOR_MASS_BELOW_1, "[filter] sigma_deg"),
     ],
     ids=["observer-track-overflows", "target-meets-observer", "target-track-overflows",
-         "max-entropy-mass-below-1", "max-entropy-mass-overflows"],
+         "max-entropy-mass-below-1", "max-entropy-mass-overflows", "singular-prior", "max-entropy-prior-mass-below-1"],
 )
 def test_unusable_track_or_proposal_prints_only_the_config_error_line(tmp_path, command, overrides, key):
     """No numpy warning reaches stderr ahead of the config error, and nothing is written."""
@@ -641,6 +648,16 @@ def test_overflowing_process_noise_prints_only_the_error_line(tmp_path):
     assert not (out / "rms.csv").exists()
 
 
+# Prior spreads with no Cholesky factor at some first bearing, or one by luck (sigma_deg=1e-7).
+SINGULAR_PRIORS = [
+    ("filter.sigma_deg", "1e-200"),
+    ("filter.sigma_deg", "1e-9"),
+    ("filter.sigma_deg", "1e-7"),
+    ("filter.range_prior_km", "1e-300"),
+    ("filter.velocity_prior_sigma_kn", "1e-200"),
+]
+
+
 @pytest.mark.parametrize("command", ["run", "table1", "crlb"])
 @pytest.mark.parametrize(
     "key, value",
@@ -651,15 +668,47 @@ def test_overflowing_process_noise_prints_only_the_error_line(tmp_path):
         ("scenario.target_range_km", "1e306"),
         ("filter.range_prior_km", "1e306"),
         ("filter.range_prior_sigma_km", "1e306"),
-    ],
+    ]
+    + SINGULAR_PRIORS,
 )
 def test_values_the_library_rejects_exit_2_naming_the_key(tmp_path, capsys, command, key, value):
     out = tmp_path / "out"
     code = main([command, "--set", f"output.directory={out}"] + FAST_RUN + ["--set", f"{key}={value}"])
     assert code == 2
     section, name = key.split(".")
-    assert capsys.readouterr().err.startswith(f"config error: [{section}] {name}")
+    err = capsys.readouterr().err
+    # The prior's one cross-key rule is named for sigma_deg and lists the other prior keys.
+    assert err.startswith("config error: " + ("[filter] sigma_deg" if (key, value) in SINGULAR_PRIORS
+                                              else f"[{section}] {name}"))
+    assert name in err
     assert not out.exists()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    sigma_deg=st.floats(-100, 100).map(lambda e: 10.0**e),
+    range_sigma_km=st.floats(-200, 100).map(lambda e: 10.0**e),
+    ratio=st.floats(-9, 9).map(lambda e: 10.0**e),
+    vel_kn=st.floats(-200, 150).map(lambda e: 10.0**e),
+    z1=st.floats(-math.pi, math.pi),
+)
+def test_accepted_priors_factor_at_every_first_bearing(sigma_deg, range_sigma_km, ratio, vel_kn, z1):
+    """Whenever the config accepts a prior, its spread has a Cholesky factor at any first bearing.
+
+    The exponents keep every variance finite: a spread that overflows is the
+    bound's to refuse, which every command computes before it runs a filter.
+    """
+    range_km = ratio * range_sigma_km / (sigma_deg * DEGREE)  # range_prior_km * sigma_deg / range_prior_sigma_km = ratio
+    try:
+        cfg = load_config(None, [f"filter.sigma_deg={sigma_deg!r}", f"filter.range_prior_km={range_km!r}",
+                                 f"filter.range_prior_sigma_km={range_sigma_km!r}",
+                                 f"filter.velocity_prior_sigma_kn={vel_kn!r}"])
+        prior = cfg.prior()
+    except ConfigError:
+        assume(False)
+    sigma = cfg.parsed["filter"]["sigma_deg"] * DEGREE
+    assert np.isfinite(prior_spread(z1, sigma, prior)).all()
+    init_prior(z1, (0.0, 0.0), sigma, prior)  # raises ValueError when the spread has no Cholesky factor
 
 
 def test_fractional_particle_count_exits_2_naming_n_grid(tmp_path, capsys):
