@@ -122,8 +122,9 @@ class Scenario:
     its last heading.  ``T`` is the sampling interval and ``q`` the
     process-noise intensity in m^2/s^3.  Each value is checked once, and
     the known observer state per scan, shape (scans, 4), the transition
-    ``F``, the target's noise-free track, shape (scans, 4), and one scan's
-    process noise derive from them.  The target track must stay finite
+    ``F``, the target's noise-free track, shape (scans, 4), the offsets
+    that the observer's moves add to the relative state's, shape
+    (scans - 1, 4), and one scan's process noise derive from them.  The target track must stay finite
     relative to the observer and never meet it, so that every nominal
     bearing is defined.
     """
@@ -143,6 +144,8 @@ class Scenario:
     observer: np.ndarray = field(init=False, repr=False, compare=False)
     F: np.ndarray = field(init=False, repr=False, compare=False)
     nominal_track: np.ndarray = field(init=False, repr=False, compare=False)
+    # Row k - 1 is F @ observer[k - 1] - observer[k]: how the relative state's move into scan k is offset.
+    observer_offsets: np.ndarray = field(init=False, repr=False, compare=False)
     # One scan's zero-mean move, for the truth and the filters alike.
     process_noise: GaussianPossibility = field(init=False, repr=False, compare=False)
 
@@ -202,12 +205,15 @@ class Scenario:
             raise ValueError("target states relative to the observer must be finite")
         if met.size:
             raise ValueError(f"target range is zero at scan {met[0] + 1}, where its bearing gradient is undefined")
+        # A stack of row products, as README's bit-identity note says; a flat product gives other last bits.
+        offsets = (F @ obs[:-1, :, None])[:, :, 0] - obs[1:]
 
         object.__setattr__(self, "scan_count", scan_count)
         object.__setattr__(self, "filter_sigma", sigma)
         object.__setattr__(self, "observer", obs)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "nominal_track", track)
+        object.__setattr__(self, "observer_offsets", offsets)
         object.__setattr__(self, "process_noise", noise)
 
 
@@ -221,8 +227,11 @@ def sample_target_track(scenario: Scenario, rng: np.random.Generator) -> np.ndar
     F = scenario.F
     track = np.empty((scenario.scan_count, 4))
     track[0] = scenario.nominal_track[0]
+    # One draw for every scan, the stream of one deviation(rng, 1) per scan, and
+    # each scan's move its own row of a stacked product (README, bit identity).
+    moves = scenario.process_noise.chol @ rng.standard_normal((scenario.scan_count - 1, 4, 1))
     for k in range(1, scenario.scan_count):
-        track[k] = F @ track[k - 1] + scenario.process_noise.deviation(rng, 1)[0]
+        track[k] = F @ track[k - 1] + moves[k - 1, :, 0]
     return track
 
 
@@ -234,7 +243,7 @@ def synthesize_measurements(scenario: Scenario, rng: np.random.Generator, target
     return wrap_angle(true_bearings + noise)
 
 
-@dataclass
+@dataclass(slots=True)
 class RunReport:
     """Outcome of one seeded run of one filter."""
 
@@ -271,10 +280,8 @@ def run_single(
     rel = target - scenario.observer
     z = synthesize_measurements(scenario, rng_world, target)
 
-    obs = scenario.observer
-    prior_poss = init_prior(z[0], obs[0, [1, 3]], scenario.filter_sigma, prior)
-    F = scenario.F
-    transition = LinearGaussianTransition(F, scenario.process_noise)
+    prior_poss = init_prior(z[0], scenario.observer[0, [1, 3]], scenario.filter_sigma, prior)
+    transition = LinearGaussianTransition(scenario.F, scenario.process_noise)
     # Looked up per run, so a patched module attribute is the one bound.
     log_lik = partial(bearing_log_likelihood, sigma=scenario.filter_sigma)
 
@@ -289,7 +296,7 @@ def run_single(
         track[0] = estimate[::2]
         for k in range(1, scenario.scan_count):
             # The relative state moves by F, less the observer's own move.
-            transition.offset = F @ obs[k - 1] - obs[k]
+            transition.offset = scenario.observer_offsets[k - 1]
             ps, estimate = step(ps, transition, log_lik, z[k], rng_filter, k)
             track[k] = estimate[::2]
     except AllWeightsZero:

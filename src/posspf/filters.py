@@ -19,6 +19,7 @@ the per-scan peak, so sharply peaked likelihoods cannot underflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +168,7 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
 def _finite_peak(log_w: np.ndarray, scan_index: int) -> float:
     """Largest log weight; raises :class:`AllWeightsZero` if it is not finite."""
     peak = log_w.max()
-    if not np.isfinite(peak):
+    if not math.isfinite(peak):
         raise AllWeightsZero(f"peak log-weight {peak} at scan {scan_index}")
     return peak
 
@@ -180,7 +181,9 @@ def peak_set_representative(states: np.ndarray, norm_log_weights: np.ndarray, cu
     the first such on a tie.  With ``cut == 0`` and a unique peak this is
     the arg-max.
     """
-    selected = np.flatnonzero(norm_log_weights >= -cut)
+    selected = (norm_log_weights >= -cut).nonzero()[0]
+    if selected.shape[0] == 1:  # a set of one is its own most central member
+        return int(selected[0])
     sub = states.take(selected, axis=0)
     wsub = np.exp(norm_log_weights.take(selected))
     barycentre = (wsub[:, None] * sub).sum(axis=0) / wsub.sum()
@@ -190,7 +193,7 @@ def peak_set_representative(states: np.ndarray, norm_log_weights: np.ndarray, cu
     with np.errstate(over="ignore"):
         d *= d
         dist = np.sqrt(np.add.reduce(d, axis=1))
-    return int(selected[np.argmin(dist)])
+    return int(selected[dist.argmin()])
 
 
 def possibility_pf_init(
@@ -260,9 +263,9 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     """Systematic resampling indices for probability weights summing to 1."""
     n = weights.shape[0]
     positions = (rng.random() + np.arange(n)) / n
-    cum = np.cumsum(weights)
+    cum = weights.cumsum()
     cum[-1] = np.inf  # a last position that rounds up to 1.0 still picks the last particle
-    return np.searchsorted(cum, positions, side="right")
+    return cum.searchsorted(positions, side="right")
 
 
 def standard_pf_init(prior: GaussianPossibility, n: int, rng: np.random.Generator) -> tuple[ParticleSet, np.ndarray]:

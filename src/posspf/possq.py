@@ -204,23 +204,23 @@ def water_pour_discrete(weights) -> np.ndarray:
     n = w.shape[0]
     if n == 0:
         raise ValueError("weight vector is empty")
-    ws = np.sort(w)  # NaNs sort last
+    ws = w.copy()
+    ws.sort()  # NaNs sort last
     top = ws[-1]
     if not (ws[0] >= 0.0 and top <= 1.0):  # NaN fails both comparisons
         raise ValueError("weights must be finite and within [0, 1]")
     if abs(top - 1.0) > 1e-12:
         raise ValueError(f"max weight must be exactly 1, got {top!r}")
 
-    cum = np.cumsum(ws)  # prefix[i + 1]
-    cand = np.empty(n)
-    cand[0] = 1.0
-    np.subtract(1.0, cum[:-1], out=cand[1:])
+    prefix = np.zeros(n + 1)
+    ws.cumsum(out=prefix[1:])
+    cand = np.subtract(1.0, prefix[:-1])
     cand /= np.arange(n, 0, -1)
     fits = cand <= ws + 1e-15
-    i = int(np.argmax(fits))
+    i = int(fits.argmax())
     if not fits[i]:
         raise ValueError(
-            f"weights sum to {cum[-1]:.17g}, less than 1; no pmf dominated by them sums to 1"
+            f"weights sum to {prefix[-1]:.17g}, less than 1; no pmf dominated by them sums to 1"
         )
     return np.minimum(w, cand[i])
 
@@ -234,12 +234,12 @@ def sample_discrete(pmf: np.ndarray, rng: np.random.Generator, count: int) -> np
     uniform's position.  Indices and random stream are those of searching
     the unsorted uniforms.
     """
-    cum = np.cumsum(pmf)
+    cum = pmf.cumsum()
     cum[-1] = 1.0  # guard against rounding in the last cell
     u = rng.random(whole_count("count", count, 0))
     # A radix sort on the top 16 bits orders the uniforms well enough for
     # the search to benefit; each search result does not depend on the order.
-    order = np.argsort((u * 65536.0).astype(np.uint16), kind="stable")
+    order = (u * 65536.0).astype(np.uint16).argsort(kind="stable")
     idx = np.empty(u.shape[0], dtype=np.intp)
-    idx[order] = np.searchsorted(cum, np.take(u, order), side="right")
+    idx[order] = cum.searchsorted(u.take(order), side="right")
     return idx

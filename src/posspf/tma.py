@@ -50,8 +50,8 @@ def process_noise_matrix(T: float, q: float) -> np.ndarray:
 def bearings_of(states: np.ndarray) -> np.ndarray:
     """Bearings of an (n, 4) array of relative states, radians clockwise from north."""
     x, y = states[:, 0], states[:, 2]
-    # x.all() is the cheaper test and almost always passes on its own.
-    if not x.all() and np.any((x == 0.0) & (y == 0.0)):
+    # Counting nonzero x is the cheaper test and almost always passes on its own.
+    if np.count_nonzero(x) < x.shape[0] and np.any((x == 0.0) & (y == 0.0)):
         raise ValueError("bearing undefined at zero range")
     beta = np.arctan2(x, y)
     # atan2(-0.0, y < 0) is -pi; report the seam as +pi, as wrap_angle does.
@@ -69,9 +69,7 @@ def bearing_log_likelihood(states: np.ndarray, z: float, sigma: float) -> np.nda
         # negative t, so one shift gives wrap_angle's (pi - res) % 2pi bit
         # for bit, and pi minus it is wrap_angle(res) up to the sign of zero.
         t = np.subtract(np.pi, res, out=res)
-        shift = np.where(t < 0.0, 2.0 * np.pi, 0.0)
-        shift -= np.where(t >= 2.0 * np.pi, 2.0 * np.pi, 0.0)
-        t += shift
+        t += np.where(t < 0.0, 2.0 * np.pi, np.where(t >= 2.0 * np.pi, -2.0 * np.pi, 0.0))
         res = np.subtract(np.pi, t, out=t)
     else:
         res = wrap_angle(res)

@@ -4,10 +4,13 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import pickle
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posspf import bench
 from posspf.bench import (
@@ -182,6 +185,35 @@ def test_sampled_target_track_carries_process_noise():
         dataclasses.replace(s, q=0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    T=st.floats(0.5, 300.0),
+    q=st.floats(1e-6, 10.0),
+    scan_count=st.integers(2, 45),
+)
+def test_sampled_target_track_equals_the_per_scan_reference(seed, T, q, scan_count):
+    """Every scan's move equals one deviation(rng, 1) row bit for bit, and the stream ends where it did."""
+    s = Scenario(scan_count=scan_count, T=T, q=q, observer_leg_scans=1)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    reference = np.empty((scan_count, 4))
+    reference[0] = s.nominal_track[0]
+    for k in range(1, scan_count):
+        reference[k] = s.F @ reference[k - 1] + s.process_noise.deviation(reference_rng, 1)[0]
+    assert (sample_target_track(s, rng) == reference).all()
+    assert rng.random() == reference_rng.random()
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"T": 17.0, "observer_speed": 5.3, "scan_count": 9, "observer_leg_scans": 2}, {"T": 123.4}]
+)
+def test_scenario_observer_offsets_are_the_per_scan_row_products(overrides):
+    for s in (Scenario(**overrides), dataclasses.replace(Scenario(), **overrides)):
+        assert s.observer_offsets.shape == (s.scan_count - 1, 4)
+        for k in range(1, s.scan_count):
+            assert (s.observer_offsets[k - 1] == s.F @ s.observer[k - 1] - s.observer[k]).all()
+
+
 def test_scenario_builds_its_process_noise_once():
     s = Scenario(T=30.0, q=2e-3)
     np.testing.assert_array_equal(s.process_noise.mean, np.zeros(4))
@@ -292,6 +324,16 @@ def test_report_metadata_fields():
     assert report.filter_kind == FILTER_POSSIBILITY
 
 
+def test_run_report_survives_pickle_and_replace_unchanged():
+    report = run_single(Scenario(scan_count=6, observer_leg_scans=2), FILTER_POSSIBILITY, 20, 4)
+    assert not hasattr(report, "__dict__")  # slots: no per-report dict
+    for copy in (pickle.loads(pickle.dumps(report)), dataclasses.replace(report)):
+        assert type(copy) is bench.RunReport
+        for f in dataclasses.fields(report):
+            ours, theirs = getattr(report, f.name), getattr(copy, f.name)
+            assert ours.tobytes() == theirs.tobytes() if isinstance(ours, np.ndarray) else ours == theirs
+
+
 def test_unknown_filter_kind_rejected():
     s = Scenario()
     with pytest.raises(ValueError):
@@ -381,6 +423,10 @@ def test_batch_parallelism_does_not_change_results():
         np.testing.assert_array_equal(a.estimate_track, b.estimate_track)
 
 
+class TaggedReport(bench.RunReport):
+    """A run report that can also carry the pid of the process that made it."""
+
+
 def test_batch_workers_call_the_module_level_run_single(monkeypatch):
     """A patch of ``bench.run_single`` made before the pool forks is what the workers run.
 
@@ -393,8 +439,9 @@ def test_batch_workers_call_the_module_level_run_single(monkeypatch):
 
     def tagging(*args):
         report = original(*args)
-        report.worker_pid = os.getpid()
-        return report
+        tagged = TaggedReport(*(getattr(report, f.name) for f in dataclasses.fields(report)))
+        tagged.worker_pid = os.getpid()
+        return tagged
 
     monkeypatch.setattr(bench, "run_single", tagging)
     s = Scenario(scan_count=6, observer_leg_scans=2)

@@ -325,6 +325,31 @@ def test_peak_set_representative_at_zero_cut_picks_the_most_central_tied_particl
     assert peak_set_representative(states, np.zeros(3), 0.0) == 1
 
 
+def _barycentre_index(states, norm_log_weights, cut):
+    """The index that peak_set_representative's barycentre computation picks, for a set of any size."""
+    selected = np.flatnonzero(norm_log_weights >= -cut)
+    sub = states[selected]
+    wsub = np.exp(norm_log_weights[selected])
+    with np.errstate(all="ignore"):  # an inf row makes the barycentre inf or NaN
+        barycentre = (wsub[:, None] * sub).sum(axis=0) / wsub.sum()
+        dist = np.linalg.norm(sub - barycentre, axis=1)
+    return int(selected[np.argmin(dist)])
+
+
+@pytest.mark.parametrize(
+    "row", [[3.0, -1.0, 2.0, 0.5], [np.inf, 0.0, 1.0, 0.0], [-np.inf, np.inf, 0.0, 0.0], [1e300, 1e300, -1e300, 0.0]]
+)
+def test_a_single_member_peak_set_gives_the_barycentre_index(row):
+    states = np.random.default_rng(5).standard_normal((6, 4))
+    states[2] = row
+    log_w = np.full(6, -3.0)
+    log_w[2] = 0.0
+    for cut in (0.0, 0.5, 2.9):
+        assert peak_set_representative(states, log_w, cut) == _barycentre_index(states, log_w, cut) == 2
+    one = states[2:3]
+    assert peak_set_representative(one, np.zeros(1), 0.5) == _barycentre_index(one, np.zeros(1), 0.5) == 0
+
+
 def test_resampling_only_draws_positive_weight_particles():
     predicted = np.arange(10.0).reshape(-1, 1)
     weights = np.array([1.0, 0.0, 0.5, 0.0, 0.2, 0.0, 0.0, 0.3, 0.0, 0.1])
