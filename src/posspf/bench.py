@@ -229,9 +229,9 @@ def sample_target_track(scenario: Scenario, rng: np.random.Generator) -> np.ndar
     track[0] = scenario.nominal_track[0]
     # One draw for every scan, the stream of one deviation(rng, 1) per scan, and
     # each scan's move its own row of a stacked product (README, bit identity).
-    moves = scenario.process_noise.chol @ rng.standard_normal((scenario.scan_count - 1, 4, 1))
+    moves = (scenario.process_noise.chol @ rng.standard_normal((scenario.scan_count - 1, 4, 1)))[:, :, 0]
     for k in range(1, scenario.scan_count):
-        track[k] = F @ track[k - 1] + moves[k - 1, :, 0]
+        track[k] = F @ track[k - 1] + moves[k - 1]
     return track
 
 

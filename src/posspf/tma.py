@@ -69,7 +69,8 @@ def bearing_log_likelihood(states: np.ndarray, z: float, sigma: float) -> np.nda
         # negative t, so one shift gives wrap_angle's (pi - res) % 2pi bit
         # for bit, and pi minus it is wrap_angle(res) up to the sign of zero.
         t = np.subtract(np.pi, res, out=res)
-        t += np.where(t < 0.0, 2.0 * np.pi, np.where(t >= 2.0 * np.pi, -2.0 * np.pi, 0.0))
+        # The shift is 2pi times 1 where t < 0, -1 where t >= 2pi and 0 elsewhere, all exact.
+        t += np.subtract(t < 0.0, t >= 2.0 * np.pi, dtype=float) * (2.0 * np.pi)
         res = np.subtract(np.pi, t, out=t)
     else:
         res = wrap_angle(res)
