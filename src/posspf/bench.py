@@ -124,9 +124,9 @@ class Scenario:
     the known observer state per scan, shape (scans, 4), the transition
     ``F``, the target's noise-free track, shape (scans, 4), the offsets
     that the observer's moves add to the relative state's, shape
-    (scans - 1, 4), and one scan's process noise derive from them.  The target track must stay finite
-    relative to the observer and never meet it, so that every nominal
-    bearing is defined.
+    (scans - 1, 4), and one scan's process noise derive from them.  The
+    target track must stay finite relative to the observer and never meet
+    it, so that every nominal bearing is defined.
     """
 
     scan_count: int = 40
