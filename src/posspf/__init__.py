@@ -26,8 +26,6 @@ from .tma import (
     bearing_log_likelihood,
     bearings_of,
     init_prior,
-    process_noise_matrix,
-    transition_matrix,
     wrap_angle,
 )
 from .bench import (

@@ -41,8 +41,6 @@ from .tma import (
     bearings_of,
     init_prior,
     prior_spread,
-    process_noise_matrix,
-    transition_matrix,
     wrap_angle,
 )
 
@@ -58,6 +56,7 @@ MIN_NOISE_DOF = 0.2
 
 FILTER_POSSIBILITY = "possibility"
 FILTER_STANDARD = "standard"
+FILTER_KINDS = (FILTER_POSSIBILITY, FILTER_STANDARD)
 
 
 def is_divergent(errors_m) -> bool:
@@ -121,10 +120,11 @@ class Scenario:
     degrees, changing leg every ``observer_leg_scans`` scans and holding
     its last heading.  ``T`` is the sampling interval and ``q`` the
     process-noise intensity in m^2/s^3.  Each value is checked once, and
-    the known observer state per scan, shape (scans, 4), the transition
-    ``F``, the target's noise-free track, shape (scans, 4), the offsets
-    that the observer's moves add to the relative state's, shape
-    (scans - 1, 4), and one scan's process noise derive from them.  The
+    the known observer state per scan, shape (scans, 4), the
+    constant-velocity transition ``F``, the target's noise-free track,
+    shape (scans, 4), the offsets that the observer's moves add to the
+    relative state's, shape (scans - 1, 4), and one scan's
+    white-acceleration process noise derive from them.  The
     target track must stay finite relative to the observer and never meet
     it, so that every nominal bearing is defined.
     """
@@ -168,9 +168,15 @@ class Scenario:
             raise ValueError("headings and the initial bearing must be finite")
         if len(self.observer_headings) < 2:
             raise ValueError("observer needs at least two legs to manoeuvre")
+        # Constant velocity per axis, and white acceleration of intensity q over one scan.
+        F = np.eye(4)
+        F[0, 1] = F[2, 3] = self.T
+        T = np.float64(self.T)  # its ** gives inf where a Python float's raises OverflowError
         try:
             with np.errstate(over="ignore"):  # an overflowing T**3 entry is refused as not finite
-                noise = GaussianPossibility(np.zeros(4), process_noise_matrix(self.T, self.q))
+                Q = np.zeros((4, 4))
+                Q[:2, :2] = Q[2:, 2:] = self.q * np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
+                noise = GaussianPossibility(np.zeros(4), Q)
         except ValueError as exc:
             raise ProcessNoiseError(f"process noise matrix is not finite and positive definite: {exc}") from exc
 
@@ -190,7 +196,6 @@ class Scenario:
         if np.allclose(velocities, velocities[0]):
             raise ValueError("observer must manoeuvre at least once (range observability)")
 
-        F = transition_matrix(self.T)
         tgt_pos = _east_north(self.initial_range, self.initial_bearing)
         tgt_vel = _east_north(self.target_speed, self.target_heading)
         track = np.empty((scan_count, 4))
@@ -270,7 +275,7 @@ def run_single(
     the filter from stream (seed, 1), so both filters see identical
     measurements at the same seed.
     """
-    if filter_kind not in (FILTER_POSSIBILITY, FILTER_STANDARD):
+    if filter_kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {filter_kind!r}")
     n = whole_count("n", n)
     rng_world = np.random.default_rng((seed, 0))
@@ -459,6 +464,10 @@ def table1_experiment(
 
 def scenario_crlb(scenario: Scenario, prior: PriorConfig = PriorConfig()) -> np.ndarray:
     """RMS position bound per scan, in metres, along the nominal track.
+
+    The bound is for the noise model the filters assume, Gaussian with
+    ``scenario.filter_sigma``, not for ``scenario.true_noise``: a truth
+    with another scale or a Student-t tail leaves it unchanged.
 
     Covariance form of the recursive Cramer-Rao bound
     J_k = [F J_{k-1}^-1 F' + Q]^-1 + H_k' H_k / sigma^2 (Tichavsky, Muravchik

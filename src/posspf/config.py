@@ -17,8 +17,8 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
-from .bench import MIN_NOISE_DOF, NoiseModel, ProcessNoiseError, Scenario
-from .filters import PossibilityPFOptions
+from .bench import FILTER_KINDS, MIN_NOISE_DOF, NoiseModel, ProcessNoiseError, Scenario
+from .filters import PROPOSALS, TRANSITION_WEIGHTINGS, PossibilityPFOptions
 from .tma import PriorConfig
 
 KNOT = 1852.0 / 3600.0  # metres per second
@@ -112,14 +112,14 @@ KEYS: dict[str, dict[str, Key]] = {
         "process_noise":         Key("1e-3", "a number", POSITIVE),
     },
     "filter": {
-        "kind":                    Key("possibility", "text", one_of("possibility", "standard")),
+        "kind":                    Key("possibility", "text", one_of(*FILTER_KINDS)),
         "particles":               Key("5000", "an integer", between(1, MAX_PARTICLES)),
         "sigma_deg":               Key("1.0", "a number", POSITIVE),
         "range_prior_km":          Key("10.0", "a number", POSITIVE),
         "range_prior_sigma_km":    Key("3.5", "a number", POSITIVE),
         "velocity_prior_sigma_kn": Key("5.053995680345572", "a number", POSITIVE),  # 2.6 m/s
-        "proposal":                Key("density", "text", one_of("density", "max-entropy")),
-        "transition_weighting":    Key("ignorance", "text", one_of("ignorance", "gaussian")),
+        "proposal":                Key("density", "text", one_of(*PROPOSALS)),
+        "transition_weighting":    Key("ignorance", "text", one_of(*TRANSITION_WEIGHTINGS)),
         "proposal_inflation":      Key("1.5", "a number", POSITIVE),
         "map_peak_cut":            Key("0.5", "a number", NONNEGATIVE),
     },

@@ -33,6 +33,11 @@ from .possq import (
 )
 
 
+# The choices of PossibilityPFOptions.proposal and .transition_weighting.
+PROPOSALS = ("density", "max-entropy")
+TRANSITION_WEIGHTINGS = ("ignorance", "gaussian")
+
+
 class AllWeightsZero(RuntimeError):
     """Every particle weight underflowed to zero; the filter has collapsed."""
 
@@ -88,9 +93,9 @@ class PossibilityPFOptions:
     map_peak_cut: float = 0.5
 
     def __post_init__(self):
-        if self.proposal not in ("density", "max-entropy"):
+        if self.proposal not in PROPOSALS:
             raise ValueError(f"unknown proposal {self.proposal!r}")
-        if self.transition_weighting not in ("ignorance", "gaussian"):
+        if self.transition_weighting not in TRANSITION_WEIGHTINGS:
             raise ValueError(f"unknown transition weighting {self.transition_weighting!r}")
         if not 0 < self.proposal_inflation < np.inf:
             raise ValueError("proposal inflation must be positive and finite")
@@ -260,11 +265,16 @@ def possibility_pf_step(
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Systematic resampling indices for probability weights summing to 1."""
+    """Systematic resampling indices for probability weights summing to 1.
+
+    A position at or past the rounded total, up to 1.0, picks the last
+    particle that raised the total (the first cell at it), never a
+    zero-weight one.
+    """
     n = weights.shape[0]
     positions = (rng.random() + np.arange(n)) / n
     cum = weights.cumsum()
-    cum[-1] = np.inf  # a last position that rounds up to 1.0 still picks the last particle
+    cum[cum.searchsorted(cum[-1]) if weights[-1] == 0.0 else -1 :] = np.inf
     return cum.searchsorted(positions, side="right")
 
 

@@ -232,10 +232,12 @@ def sample_discrete(pmf: np.ndarray, rng: np.random.Generator, count: int) -> np
     them in ascending order of their top 16 bits (each search then starts
     near the previous result) and scatters each index back to its
     uniform's position.  Indices and random stream are those of searching
-    the unsorted uniforms.
+    the unsorted uniforms.  A uniform at or past the rounded total picks
+    the last cell that raised the total (the first cell at it), never a
+    zero-pmf one.
     """
     cum = pmf.cumsum()
-    cum[-1] = 1.0  # guard against rounding in the last cell
+    cum[cum.searchsorted(cum[-1]) if pmf[-1] == 0.0 else -1 :] = 1.0
     u = rng.random(whole_count("count", count, 0))
     # A radix sort on the top 16 bits orders the uniforms well enough for
     # the search to benefit; each search result does not depend on the order.

@@ -1,7 +1,8 @@
-"""Bearings-only target-motion-analysis problem definition.
+"""Bearings-only target-motion-analysis measurement model and prior.
 
-Relative-state constant-velocity dynamics, the bearing measurement with its
-likelihood and gradient, and measurement-based prior construction.
+The bearing measurement with its likelihood and gradient, and the prior
+built from the first bearing.  The motion model, the transition ``F`` and
+the process noise, is derived by ``bench.Scenario``.
 
 State vectors are ordered (x, vx, y, vy) with x east and y north, in SI
 units (metres, seconds, radians).  Bearings are measured clockwise from
@@ -21,30 +22,6 @@ def wrap_angle(angle):
     """Wrap angles into (-pi, pi]."""
     a = np.asarray(angle, dtype=float)
     return -((-a + np.pi) % (2.0 * np.pi) - np.pi)
-
-
-def transition_matrix(T: float) -> np.ndarray:
-    """Constant-velocity transition matrix, block diagonal per axis."""
-    if not 0 < T < np.inf:
-        raise ValueError(f"sampling interval T must be positive and finite, got {T!r}")
-    F = np.eye(4)
-    F[0, 1] = T
-    F[2, 3] = T
-    return F
-
-
-def process_noise_matrix(T: float, q: float) -> np.ndarray:
-    """White-acceleration process noise matrix, intensity q in m^2/s^3."""
-    if not 0 < T < np.inf:
-        raise ValueError(f"sampling interval T must be positive and finite, got {T!r}")
-    if not 0 < q < np.inf:
-        raise ValueError(f"process noise intensity q must be positive and finite, got {q!r}")
-    T = np.float64(T)  # its ** gives inf where a Python float's raises OverflowError
-    block = q * np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
-    Q = np.zeros((4, 4))
-    Q[:2, :2] = block
-    Q[2:, 2:] = block
-    return Q
 
 
 def bearings_of(states: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from posspf.bench import (
     wilson_interval,
 )
 from posspf.filters import possibility_pf_init, standard_pf_init
-from posspf.tma import PriorConfig, bearings_of, init_prior, process_noise_matrix
+from posspf.tma import PriorConfig, bearings_of, init_prior
 
 DEG = math.pi / 180.0
 
@@ -216,8 +216,11 @@ def test_scenario_observer_offsets_are_the_per_scan_row_products(overrides):
 
 def test_scenario_builds_its_process_noise_once():
     s = Scenario(T=30.0, q=2e-3)
+    # The white-acceleration block, q times (T^3/3, T^2/2; T^2/2, T), on each axis.
+    T = np.float64(30.0)
+    block = 2e-3 * np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
     np.testing.assert_array_equal(s.process_noise.mean, np.zeros(4))
-    np.testing.assert_array_equal(s.process_noise.spread, process_noise_matrix(30.0, 2e-3))
+    np.testing.assert_array_equal(s.process_noise.spread, np.kron(np.eye(2), block))
     assert s == dataclasses.replace(s)  # compared by its inputs, not the derived noise
 
 
@@ -600,6 +603,13 @@ def test_scenario_crlb_first_scan_matches_prior():
     assert isinstance(bound, np.ndarray) and bound.shape == (s.scan_count,)
     assert bound[0] == pytest.approx(expected_scan1, rel=1e-9)
     assert np.all(np.isfinite(bound))
+
+
+def test_scenario_crlb_bounds_the_filters_noise_model_not_the_truths():
+    s = Scenario()
+    for truth in (NoiseModel(math.radians(2.0)), NoiseModel(math.radians(1.0), 3.0)):
+        assert (scenario_crlb(dataclasses.replace(s, true_noise=truth)) == scenario_crlb(s)).all()
+    assert not (scenario_crlb(dataclasses.replace(s, filter_sigma=math.radians(2.0))) == scenario_crlb(s)).any()
 
 
 @pytest.mark.parametrize(

@@ -28,8 +28,8 @@ from posspf.filters import (
     standard_pf_step,
     systematic_resample,
 )
-from posspf.possq import GaussianPossibility, water_pour_continuous
-from posspf.tma import init_prior, process_noise_matrix, transition_matrix
+from posspf.possq import GaussianPossibility, sample_discrete, water_pour_continuous, water_pour_discrete
+from posspf.tma import init_prior
 
 from _toy import (
     kalman_track,
@@ -94,7 +94,8 @@ def test_draws_consume_the_reference_rng_stream():
     n = 257
     prior = init_prior(0.1, (2.0, 1.0), DEG)
     prior_chol = np.linalg.cholesky(prior.spread)
-    F, Q = transition_matrix(40.0), process_noise_matrix(40.0, 1e-3)
+    motion = Scenario(T=40.0, q=1e-3)
+    F, Q = motion.F, motion.process_noise.spread
     offset = np.array([0.0, -0.3, 0.0, 0.2])
     transition = LinearGaussianTransition(F, Q, offset)
     states = prior.mean + 100.0 * np.random.default_rng(1).standard_normal((n, 4))
@@ -131,7 +132,8 @@ def test_draws_consume_the_reference_rng_stream():
 def test_propagation_equals_broadcast_means_plus_sample(n, seed, offset, proposal, inflation):
     # The reference is the textbook expression: the means broadcast the
     # offset over the rows, then the proposal's zero-mean deviation is added.
-    F, Q = transition_matrix(40.0), process_noise_matrix(40.0, 1e-3)
+    motion = Scenario(T=40.0, q=1e-3)
+    F, Q = motion.F, motion.process_noise.spread
     offset = np.asarray(offset)
     transition = LinearGaussianTransition(F, Q, offset)
     states = np.random.default_rng(seed).uniform(-2e4, 2e4, (n, 4))
@@ -144,11 +146,27 @@ def test_propagation_equals_broadcast_means_plus_sample(n, seed, offset, proposa
     _assert_same_stream(lambda rng: transition.sample_model(states, rng), lambda rng: means + noise.deviation(rng, n))
 
 
+def test_transition_draws_alike_from_a_spread_matrix_and_from_its_gaussian_possibility():
+    # run_single passes Scenario.process_noise; most callers pass its spread matrix.
+    motion = Scenario()
+    offset = np.array([0.0, -0.3, 0.0, 0.2])
+    states = np.random.default_rng(3).uniform(-2e4, 2e4, (300, 4))
+    options = [PossibilityPFOptions(), PossibilityPFOptions(proposal="max-entropy", proposal_inflation=2.0)]
+
+    def draws(spread):
+        transition = LinearGaussianTransition(motion.F, spread, offset)
+        # One stream through every draw: a proposal per options set, then the model.
+        return lambda rng: [transition.propose(states, rng, o) for o in options] + [transition.sample_model(states, rng)]
+
+    _assert_same_stream(draws(motion.process_noise), draws(motion.process_noise.spread))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 500])
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_means_equal_the_row_major_product_bit_for_bit(n, layout):
     # means computes (A @ x.T).T, which must equal x @ A.T for either layout of x.
-    F, Q = transition_matrix(40.0), process_noise_matrix(40.0, 1e-3)
+    motion = Scenario(T=40.0, q=1e-3)
+    F, Q = motion.F, motion.process_noise.spread
     offset = np.array([3.5, -0.3, -7.25, 0.2])
     states = np.asarray(np.random.default_rng(n).uniform(-2e4, 2e4, (n, 4)), order=layout)
     expected = np.ascontiguousarray(states) @ F.T + offset
@@ -158,7 +176,8 @@ def test_means_equal_the_row_major_product_bit_for_bit(n, layout):
 def test_bootstrap_states_are_row_major():
     # The bootstrap estimate w @ states sums in memory order, so its states stay row-major.
     prior = init_prior(0.1, (2.0, 1.0), DEG)
-    F, Q = transition_matrix(40.0), process_noise_matrix(40.0, 1e-3)
+    motion = Scenario(T=40.0, q=1e-3)
+    F, Q = motion.F, motion.process_noise.spread
     ps, _ = standard_pf_init(prior, 50, np.random.default_rng(0))
     assert ps.states.flags.c_contiguous
     moved = LinearGaussianTransition(F, Q).sample_model(np.asfortranarray(ps.states), np.random.default_rng(1))
@@ -360,17 +379,45 @@ def test_resampling_only_draws_positive_weight_particles():
     assert ps.weights.max() == 1.0
 
 
+class LastPositionRng:
+    """A generator whose every uniform draw is the largest double below 1."""
+
+    def random(self, size=None):
+        u = 1.0 - 2.0**-53
+        return u if size is None else np.full(size, u)
+
+
+def _zero_tailed_weights(rng):
+    """Random weights with unit peak whose last one to three are zero."""
+    alive = int(rng.integers(1, 40))
+    w = rng.random(alive + int(rng.integers(1, 4)))
+    w[alive:] = 0.0
+    w[rng.integers(alive)] = 1.0
+    return w
+
+
+# A uniform at or past the rounded total lands in [cum[-2], 1): the last cell
+# that raised the total takes it, not the zero-weight cells after it.  Guarding
+# the last cell alone drew a zero-weight particle for 151 and 73 of these 200 vectors.
+def test_systematic_resample_never_draws_a_zero_weight_particle_from_the_rounding_gap():
+    rng = np.random.default_rng(20240501)
+    for _ in range(200):
+        w = _zero_tailed_weights(rng)
+        w /= w.sum()
+        assert (w[systematic_resample(w, LastPositionRng())] > 0).all()
+
+
+def test_sample_discrete_never_draws_a_zero_pmf_cell_from_the_rounding_gap():
+    rng = np.random.default_rng(20240502)
+    for _ in range(200):
+        pmf = water_pour_discrete(_zero_tailed_weights(rng))
+        assert (pmf[sample_discrete(pmf, LastPositionRng(), 5)] > 0).all()
+
+
 def test_systematic_resample_uniform_weights_is_identity_permutation():
     n = 64
     idx = systematic_resample(np.full(n, 1.0 / n), np.random.default_rng(13))
     np.testing.assert_array_equal(np.sort(idx), np.arange(n))
-
-
-class LastPositionRng:
-    """A generator whose uniform draw is the largest double below 1."""
-
-    def random(self):
-        return 1.0 - 2.0**-53
 
 
 @pytest.mark.parametrize("n", [2, 7, 5000])

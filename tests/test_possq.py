@@ -587,7 +587,8 @@ def test_sample_discrete_equals_unsorted_search(weights, unit_pos, tops, lows, o
     w[unit_pos % len(w)] = 1.0
     pmf = water_pour_discrete(w)
     cum = np.cumsum(pmf)
-    cum[-1] = 1.0
+    # With a zero last cell, the guard starts at the last cell that raised the total.
+    cum[np.searchsorted(cum, cum[-1]) if pmf[-1] == 0.0 else -1 :] = 1.0
     u = np.array([(tops[i % len(tops)] * 2.0**36 + low) / 2.0**52 for i, low in lows])
     if on_cells:
         # Uniforms exactly on cell boundaries exercise side="right".

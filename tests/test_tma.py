@@ -16,8 +16,6 @@ from posspf.tma import (
     bearing_log_likelihood,
     bearings_of,
     init_prior,
-    process_noise_matrix,
-    transition_matrix,
     wrap_angle,
 )
 
@@ -35,12 +33,12 @@ def _likelihood(state, z: float, sigma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dynamics matrices
+# the motion model, which Scenario derives from T and q
 # ---------------------------------------------------------------------------
 
 
 def test_transition_matrix_T40():
-    F = transition_matrix(40.0)
+    F = Scenario(T=40.0).F
     expected = np.array(
         [[1, 40, 0, 0], [0, 1, 0, 0], [0, 0, 1, 40], [0, 0, 0, 1]], dtype=float
     )
@@ -48,16 +46,13 @@ def test_transition_matrix_T40():
 
 
 def test_transition_matrix_unit_step():
-    F = transition_matrix(1.0)
+    F = Scenario(T=1.0).F
     np.testing.assert_array_equal(F[:2, :2], [[1, 1], [0, 1]])
-
-
-def test_transition_matrix_linearity_at_zero():
-    np.testing.assert_array_equal(transition_matrix(40.0) @ np.zeros(4), np.zeros(4))
+    np.testing.assert_array_equal(F[2:, 2:], [[1, 1], [0, 1]])
 
 
 def test_process_noise_block_T1_q1():
-    Q = process_noise_matrix(1.0, 1.0)
+    Q = Scenario(T=1.0, q=1.0).process_noise.spread
     block = np.array([[1 / 3, 1 / 2], [1 / 2, 1.0]])
     np.testing.assert_allclose(Q[:2, :2], block)
     np.testing.assert_allclose(Q[2:, 2:], block)
@@ -66,7 +61,7 @@ def test_process_noise_block_T1_q1():
 
 def test_process_noise_block_T40_small_q():
     # Direct arithmetic: q*T^3/3, q*T^2/2, q*T for T=40, q=1e-6.
-    Q = process_noise_matrix(40.0, 1e-6)
+    Q = Scenario(T=40.0, q=1e-6).process_noise.spread
     np.testing.assert_allclose(
         Q[:2, :2], [[0.021333333333333333, 8e-4], [8e-4, 4e-5]], rtol=1e-12
     )
@@ -78,22 +73,16 @@ def test_process_noise_block_T40_small_q():
     q=st.floats(min_value=1e-9, max_value=10.0),
 )
 def test_process_noise_is_positive_definite(T, q):
-    np.linalg.cholesky(process_noise_matrix(T, q))
+    np.linalg.cholesky(Scenario(T=T, q=q).process_noise.spread)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 @pytest.mark.parametrize(
-    "build, name",
-    [
-        (transition_matrix, "T"),
-        (lambda v: process_noise_matrix(v, 1e-3), "T"),
-        (lambda v: process_noise_matrix(40.0, v), "q"),
-    ],
-    ids=["transition-T", "process-noise-T", "process-noise-q"],
+    "name, message", [("T", "sampling interval"), ("q", "process noise intensity")], ids=["T", "q"]
 )
-def test_dynamics_matrices_reject_non_positive_or_non_finite_arguments(build, name, bad):
-    with pytest.raises(ValueError, match=rf"\b{name} must be positive and finite"):
-        build(bad)
+def test_scenario_rejects_a_non_positive_or_non_finite_T_or_q(name, message, bad):
+    with pytest.raises(ValueError, match=f"^{message} must be positive and finite$"):
+        Scenario(**{name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +95,7 @@ def test_canonical_observer_turns_change_velocity_only():
     # is what run_single takes off the relative state's transition.
     scenario = Scenario()
     obs = scenario.observer
-    F = transition_matrix(scenario.T)
+    F = scenario.F
     turns = [
         k
         for k in range(1, scenario.scan_count)
@@ -161,17 +150,16 @@ def test_bearing_scale_invariance(x, y, k):
 
 
 def test_transition_possibility_zero_state():
-    T, q = 40.0, 1e-3
-    F = transition_matrix(T)
-    Q = process_noise_matrix(T, q)
+    motion = Scenario(T=40.0, q=1e-3)
+    F, Q = motion.F, motion.process_noise.spread
     transition = LinearGaussianTransition(F, Q)
     np.testing.assert_array_equal(transition.means(np.zeros((1, 4))), np.zeros((1, 4)))
     np.testing.assert_array_equal(transition.noise.spread, Q)
 
 
 def test_transition_possibility_peak_at_own_mean():
-    F = transition_matrix(40.0)
-    Q = process_noise_matrix(40.0, 1e-3)
+    motion = Scenario(T=40.0, q=1e-3)
+    F, Q = motion.F, motion.process_noise.spread
     transition = LinearGaussianTransition(F, Q, [-0.1, 0.0, 0.2, 0.0])
     x = np.array([[1.0, 2.0, 3.0, 4.0]])
     assert transition.log_possibility_of_move(transition.means(x), x)[0] == 0.0
@@ -180,8 +168,7 @@ def test_transition_possibility_peak_at_own_mean():
 def test_transition_possibility_canonical_second_scan():
     scenario = Scenario()
     rel = scenario.nominal_track - scenario.observer
-    F = transition_matrix(scenario.T)
-    Q = process_noise_matrix(scenario.T, scenario.q)
+    F, Q = scenario.F, scenario.process_noise.spread
     offset = F @ scenario.observer[0] - scenario.observer[1]
     predicted = LinearGaussianTransition(F, Q, offset).means(rel[:1])[0]
     np.testing.assert_allclose(predicted, rel[1], atol=1e-9)
@@ -190,8 +177,8 @@ def test_transition_possibility_canonical_second_scan():
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=4, max_size=4))
 def test_transition_mean_is_linear(state):
-    F = transition_matrix(40.0)
-    Q = process_noise_matrix(40.0, 1e-3)
+    motion = Scenario(T=40.0, q=1e-3)
+    F, Q = motion.F, motion.process_noise.spread
     x = np.array([state])
     transition = LinearGaussianTransition(F, Q)
     double = transition.means(2 * x)
@@ -372,10 +359,9 @@ def test_crlb_canonical_curve_finite_and_improving():
     assert bound[-1] < 0.1 * bound[:first_turn].min()
 
 
-def crlb_information_form(true_relative, T, q, sigma, prior):
+def crlb_information_form(true_relative, scenario, prior):
     """Reference: the information recursion J_k = [F J^-1 F' + Q]^-1 + H'H / sigma^2."""
-    F = transition_matrix(T)
-    Q = process_noise_matrix(T, q)
+    F, Q, sigma = scenario.F, scenario.process_noise.spread, scenario.filter_sigma
     J = np.linalg.inv(prior.spread)
     bounds = [prior.spread]
     for k in range(1, true_relative.shape[0]):
@@ -407,7 +393,7 @@ def test_crlb_equals_information_form(q, bearing, heading, speed, range_m, sigma
     prior_config = PriorConfig(range_mean, range_sigma, vel_sigma)
     rel = scenario.nominal_track - scenario.observer
     prior = init_prior(bearings_of(rel[:1])[0], scenario.observer[0, [1, 3]], scenario.filter_sigma, prior_config)
-    reference = crlb_information_form(rel, scenario.T, scenario.q, scenario.filter_sigma, prior)
+    reference = crlb_information_form(rel, scenario, prior)
     np.testing.assert_allclose(
         scenario_crlb(scenario, prior_config), np.sqrt(reference[:, 0, 0] + reference[:, 2, 2]), rtol=1e-9
     )
