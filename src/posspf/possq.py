@@ -234,9 +234,12 @@ def sample_discrete(pmf: np.ndarray, rng: np.random.Generator, count: int) -> np
     uniform's position.  Indices and random stream are those of searching
     the unsorted uniforms.  A uniform at or past the rounded total picks
     the last cell that raised the total (the first cell at it), never a
-    zero-pmf one.
+    zero-pmf one.  Raises ValueError unless the total is positive and
+    finite; negative cells are the caller's to rule out.
     """
     cum = pmf.cumsum()
+    if not 0.0 < cum[-1] < np.inf:
+        raise ValueError(f"pmf total {cum[-1]!r}; it must be positive and finite")
     cum[cum.searchsorted(cum[-1]) if pmf[-1] == 0.0 else -1 :] = 1.0
     u = rng.random(whole_count("count", count, 0))
     # A radix sort on the top 16 bits orders the uniforms well enough for

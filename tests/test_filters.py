@@ -173,15 +173,29 @@ def test_means_equal_the_row_major_product_bit_for_bit(n, layout):
     np.testing.assert_array_equal(LinearGaussianTransition(F, Q, offset).means(states), expected)
 
 
-def test_bootstrap_states_are_row_major():
-    # The bootstrap estimate w @ states sums in memory order, so its states stay row-major.
+@pytest.mark.parametrize("n", [1, 2, 3, 500])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_bootstrap_sets_are_column_major_and_estimates_sum_a_row_major_copy(n, layout):
+    # The sets keep each coordinate contiguous.  The estimate w @ states sums
+    # in memory order, so it sums a row-major copy to keep its bits.
     prior = init_prior(0.1, (2.0, 1.0), DEG)
     motion = Scenario(T=40.0, q=1e-3)
-    F, Q = motion.F, motion.process_noise.spread
-    ps, _ = standard_pf_init(prior, 50, np.random.default_rng(0))
-    assert ps.states.flags.c_contiguous
-    moved = LinearGaussianTransition(F, Q).sample_model(np.asfortranarray(ps.states), np.random.default_rng(1))
-    assert moved.flags.c_contiguous
+    transition = LinearGaussianTransition(motion.F, motion.process_noise.spread)
+    ps, estimate = standard_pf_init(prior, n, np.random.default_rng(n))
+    assert ps.states.flags.f_contiguous
+    np.testing.assert_array_equal(estimate, ps.weights @ np.ascontiguousarray(ps.states))
+
+    ps = ParticleSet(np.asarray(ps.states, order=layout), ps.weights)
+    moved = transition.sample_model(ps.states, np.random.default_rng(1))
+    assert moved.flags.f_contiguous
+    log_likelihood = lambda states, z: -0.5 * ((states[:, 0] - z) / 1e3) ** 2
+    stepped, estimate = standard_pf_step(ps, transition, log_likelihood, 50.0, np.random.default_rng(1), 1)
+    assert stepped.states.flags.f_contiguous
+    # The step's weights, replayed on the same draws.
+    log_w = np.log(ps.weights) + log_likelihood(moved, 50.0)
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    np.testing.assert_array_equal(estimate, w @ np.ascontiguousarray(moved))
 
 
 @pytest.mark.parametrize("proposal", ["density", "max-entropy"])
@@ -205,7 +219,7 @@ def test_possibility_init_estimate_is_a_near_peak_particle(cut):
 def test_bootstrap_init_estimate_is_the_weighted_mean_bit_for_bit():
     prior = init_prior(0.1, (2.0, 1.0), DEG)
     ps, estimate = standard_pf_init(prior, 500, np.random.default_rng(8))
-    np.testing.assert_array_equal(estimate, ps.weights @ ps.states)
+    np.testing.assert_array_equal(estimate, ps.weights @ np.ascontiguousarray(ps.states))
 
 
 @pytest.mark.parametrize("kind", [FILTER_POSSIBILITY, FILTER_STANDARD])
@@ -412,6 +426,22 @@ def test_sample_discrete_never_draws_a_zero_pmf_cell_from_the_rounding_gap():
     for _ in range(200):
         pmf = water_pour_discrete(_zero_tailed_weights(rng))
         assert (pmf[sample_discrete(pmf, LastPositionRng(), 5)] > 0).all()
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [np.zeros(4), np.array([0.5, np.nan, 0.5]), np.array([0.5, np.inf, 0.5])],
+    ids=["zero", "nan", "inf"],
+)
+@pytest.mark.parametrize(
+    "resample",
+    [systematic_resample, lambda w, rng: sample_discrete(w, rng, 6)],
+    ids=["systematic", "discrete"],
+)
+def test_resamplers_refuse_weights_without_a_positive_finite_total(resample, weights):
+    # Any index drawn from such weights would name a zero-weight or non-finite cell.
+    with pytest.raises(ValueError, match="total"):
+        resample(weights, np.random.default_rng(0))
 
 
 def test_systematic_resample_uniform_weights_is_identity_permutation():
