@@ -15,8 +15,9 @@ a key the command does not read, and counts beyond their budgets.
 ``main`` computes the position bound along the target's nominal track,
 ``scenario_crlb``, before any command starts; it raises when the bound is
 not finite at some scan, so that case exits 1 and writes no CSV, on every
-command.  Outputs are byte-identical across repeated invocations with the
-same config.
+command.  ``main`` then makes the output directory, so a directory that
+cannot be made also exits 1 before any run starts.  Outputs are
+byte-identical across repeated invocations with the same config.
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ def _fmt(value) -> str:
 
 
 def _write_csv(cfg: Config, name: str, header: list[str], rows) -> None:
-    """Write ``name`` into the output directory (made on first write) under the metadata line."""
-    outdir = cfg.output_directory()
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as fh:
+    """Write ``name`` into the output directory, which ``main`` made, under the metadata line."""
+    with open(os.path.join(cfg.output_directory(), name), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_hash={cfg.hash()} seed={cfg.base_seed()} version={__version__}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -148,10 +147,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-        # Scenario, prior, then bound, for every command before it runs or writes anything.
+        # Scenario, prior, bound, then the output directory, for every command before it runs.
         scenario = cfg.scenario()
         prior = cfg.prior()
-        return COMMANDS[args.command][0](cfg, scenario, prior, scenario_crlb(scenario, prior))
+        bound = scenario_crlb(scenario, prior)
+        os.makedirs(cfg.output_directory(), exist_ok=True)
+        return COMMANDS[args.command][0](cfg, scenario, prior, bound)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

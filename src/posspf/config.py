@@ -310,6 +310,10 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Config:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:  # a ValueError, not an OSError
+            raise ConfigError(
+                f"cannot read config file {path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
+            ) from exc
         import configparser
         # No default section and no interpolation: [DEFAULT] is an unknown
         # section like any other, and values are read as --set reads them.

@@ -37,20 +37,14 @@ def bearings_of(states: np.ndarray) -> np.ndarray:
 
 
 def bearing_log_likelihood(states: np.ndarray, z: float, sigma: float) -> np.ndarray:
-    """Log of the Gaussian-shaped bearing likelihood, residual wrapped to (-pi, pi]."""
+    """Log of the Gaussian-shaped bearing likelihood, residual wrapped to [-pi, pi].
+
+    The shape is even, so the sign of a residual at +-pi does not matter.
+    """
     res = bearings_of(np.atleast_2d(states))
     np.subtract(z, res, out=res)
-    if -np.pi <= z <= np.pi:
-        # Here res lies in [-2pi, 2pi), so t = pi - res lies in (-pi, 3pi].
-        # On that range fmod(t, 2pi) is exact and % adds 2pi only to a
-        # negative t, so one shift gives wrap_angle's (pi - res) % 2pi bit
-        # for bit, and pi minus it is wrap_angle(res) up to the sign of zero.
-        t = np.subtract(np.pi, res, out=res)
-        # The shift is 2pi times 1 where t < 0, -1 where t >= 2pi and 0 elsewhere, all exact.
-        t += np.subtract(t < 0.0, t >= 2.0 * np.pi, dtype=float) * (2.0 * np.pi)
-        res = np.subtract(np.pi, t, out=t)
-    else:
-        res = wrap_angle(res)
+    # Less the nearest whole number of turns: exact wherever |z - beta| <= pi.
+    res -= (2.0 * np.pi) * np.rint(res / (2.0 * np.pi))
     res /= sigma
     res *= res
     res *= -0.5

@@ -313,6 +313,16 @@ def test_run_defaults_writes_both_csvs(tmp_path, capsys):
     assert len(runs) == 2 + 3
 
 
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_bytes(b"[scenario]\n# caf\xe9\nscans = 20\n")
+    out = tmp_path / "out"
+    code = main(["crlb", "--config", str(path), "--set", f"output.directory={out}"])
+    assert code == 2
+    assert "cfg.ini: not UTF-8 text (byte 0xe9" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_config_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.ini")])
     assert code == 2
@@ -742,6 +752,19 @@ def test_all_runs_divergent_exits_1_without_rms_csv(tmp_path, capsys):
 def test_run_unwritable_output_is_runtime_error(capsys):
     code = main(["run", "--set", "output.directory=/proc/not-writable"] + FAST_RUN)
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["run", "table1", "crlb"])
+def test_output_directory_that_cannot_be_made_exits_1_before_any_batch(tmp_path, capsys, monkeypatch, command):
+    started = []
+    monkeypatch.setattr("posspf.cli.run_batch", lambda *args, **kwargs: started.append(args))
+    monkeypatch.setattr("posspf.cli.table1_experiment", lambda *args, **kwargs: started.append(args))
+    taken = tmp_path / "a-file"
+    taken.write_text("")
+    code = main([command, "--set", f"output.directory={taken}"] + FAST_RUN)
+    assert code == 1
+    assert "File exists" in capsys.readouterr().err
+    assert started == []
 
 
 def test_run_byte_identical_on_repeat(tmp_path):

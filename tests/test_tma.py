@@ -266,11 +266,19 @@ SEAM_Y = st.one_of(st.sampled_from([-5e3, 5e3, 0.0, -0.0]), st.floats(min_value=
     ),
     points=st.lists(st.tuples(SEAM_X, SEAM_Y).filter(lambda p: p != (0.0, 0.0)), min_size=1, max_size=12),
 )
-def test_log_likelihood_wrap_equals_wrap_angle(z, points):
+def test_log_likelihood_wrap_is_exact_in_range_and_matches_wrap_angle_elsewhere(z, points):
     states = np.array([[x, 0.0, y, 0.0] for x, y in points])
+    res = z - bearings_of(states)
+    in_range = np.abs(res) <= math.pi
     sigma = 1.0 * DEG
-    expected = -0.5 * (wrap_angle(z - bearings_of(states)) / sigma) ** 2
-    assert np.array_equal(bearing_log_likelihood(states, z, sigma), expected)
+    expected = -0.5 * (res / sigma) ** 2
+    assert np.array_equal(bearing_log_likelihood(states, z, sigma)[in_range], expected[in_range])
+    # At sigma = 1 the log-likelihood is -res**2 / 2, so its residual's size is recoverable to
+    # half an ulp; elsewhere it must match wrap_angle's to a few ulps of 2pi.
+    wrapped = np.sqrt(-2.0 * bearing_log_likelihood(states, z, 1.0))
+    np.testing.assert_allclose(
+        wrapped[~in_range], np.abs(wrap_angle(res[~in_range])), rtol=0.0, atol=4 * np.spacing(2 * math.pi)
+    )
 
 
 def test_wrap_angle_range():
