@@ -83,7 +83,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Measurement noise generator: zero-mean Student-t, Gaussian at ``nu = inf``.
+    """Bearing noise model of the truth or the filters: zero-mean Student-t, Gaussian at ``nu = inf``.
 
     Student-t draws are Gaussian over the square root of a scaled
     chi-square; ``nu = inf`` draws the Gaussian alone.  ``nu`` is at least
@@ -119,7 +119,9 @@ class Scenario:
     and the observer zigzags at 7.5 m/s between headings 70 and 340
     degrees, changing leg every ``observer_leg_scans`` scans and holding
     its last heading.  ``T`` is the sampling interval and ``q`` the
-    process-noise intensity in m^2/s^3.  Each value is checked once, and
+    process-noise intensity in m^2/s^3.  ``true_noise`` draws the bearing
+    noise and ``filter_noise`` is the Gaussian the filters and the bound
+    assume; they are matched when equal.  Each value is checked once, and
     the known observer state per scan, shape (scans, 4), the
     constant-velocity transition ``F``, the target's noise-free track,
     shape (scans, 4), the offsets that the observer's moves add to the
@@ -140,7 +142,7 @@ class Scenario:
     observer_leg_scans: int = 10
     q: float = 1e-3
     true_noise: NoiseModel = NoiseModel(math.radians(1.0))
-    filter_sigma: float = math.radians(1.0)
+    filter_noise: NoiseModel = NoiseModel(math.radians(1.0))
     observer: np.ndarray = field(init=False, repr=False, compare=False)
     F: np.ndarray = field(init=False, repr=False, compare=False)
     nominal_track: np.ndarray = field(init=False, repr=False, compare=False)
@@ -152,16 +154,14 @@ class Scenario:
     def __post_init__(self):
         scan_count = whole_count("scan_count", self.scan_count, 2)
         leg_scans = whole_count("observer_leg_scans", self.observer_leg_scans)
-        # numpy's scalar keeps an overflowing bound inf, where a Python float's ** raises.
-        sigma = np.float64(self.filter_sigma)
         if not 0 < self.T < math.inf:
             raise ValueError("sampling interval must be positive and finite")
         if not 0 < self.q < math.inf:
             raise ValueError("process noise intensity must be positive and finite")
         if not 0 < self.initial_range < math.inf:
             raise ValueError("initial range must be positive and finite")
-        if not 0 < sigma < math.inf:
-            raise ValueError("filter sigma must be positive and finite")
+        if math.isfinite(self.filter_noise.nu):
+            raise ValueError("filter_noise.nu must be inf: the filters' bearing likelihood is Gaussian")
         if not (0 <= self.observer_speed < math.inf and 0 <= self.target_speed < math.inf):
             raise ValueError("speeds must be nonnegative and finite")
         if not all(map(math.isfinite, (self.initial_bearing, self.target_heading, *self.observer_headings))):
@@ -214,7 +214,6 @@ class Scenario:
         offsets = (F @ obs[:-1, :, None])[:, :, 0] - obs[1:]
 
         object.__setattr__(self, "scan_count", scan_count)
-        object.__setattr__(self, "filter_sigma", sigma)
         object.__setattr__(self, "observer", obs)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "nominal_track", track)
@@ -285,10 +284,10 @@ def run_single(
     rel = target - scenario.observer
     z = synthesize_measurements(scenario, rng_world, target)
 
-    prior_poss = init_prior(z[0], scenario.observer[0, [1, 3]], scenario.filter_sigma, prior)
+    prior_poss = init_prior(z[0], scenario.observer[0, [1, 3]], scenario.filter_noise.sigma, prior)
     transition = LinearGaussianTransition(scenario.F, scenario.process_noise)
     # Looked up per run, so a patched module attribute is the one bound.
-    log_lik = partial(bearing_log_likelihood, sigma=scenario.filter_sigma)
+    log_lik = partial(bearing_log_likelihood, sigma=scenario.filter_noise.sigma)
 
     track = np.full((scenario.scan_count, 2), np.nan)
     collapsed = False
@@ -465,8 +464,8 @@ def table1_experiment(
 def scenario_crlb(scenario: Scenario, prior: PriorConfig = PriorConfig()) -> np.ndarray:
     """RMS position bound per scan, in metres, along the nominal track.
 
-    The bound is for the noise model the filters assume, Gaussian with
-    ``scenario.filter_sigma``, not for ``scenario.true_noise``: a truth
+    The bound is for the noise model the filters assume,
+    ``scenario.filter_noise``, not for ``scenario.true_noise``: a truth
     with another scale or a Student-t tail leaves it unchanged.
 
     Covariance form of the recursive Cramer-Rao bound
@@ -480,7 +479,8 @@ def scenario_crlb(scenario: Scenario, prior: PriorConfig = PriorConfig()) -> np.
     when a spread overflows.
     """
     rel = scenario.nominal_track - scenario.observer
-    F, Q, sigma = scenario.F, scenario.process_noise.spread, scenario.filter_sigma
+    # numpy's scalar keeps an overflowing sigma**2 inf, where a Python float's ** raises.
+    F, Q, sigma = scenario.F, scenario.process_noise.spread, np.float64(scenario.filter_noise.sigma)
     bound = np.empty(scenario.scan_count)
     with np.errstate(over="ignore", invalid="ignore"):
         P = prior_spread(bearings_of(rel[:1])[0], sigma, prior)

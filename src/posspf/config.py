@@ -180,7 +180,7 @@ class Config:
             q=s["process_noise"],
             true_noise=NoiseModel(self._si("scenario", "noise_sigma_deg", DEGREE),
                                   s["noise_dof"] if s["noise"] == "student-t" else math.inf),
-            filter_sigma=self._si("filter", "sigma_deg", DEGREE),
+            filter_noise=NoiseModel(self._si("filter", "sigma_deg", DEGREE)),
         )
         try:
             scenario = Scenario(**si)

@@ -73,15 +73,15 @@ def prior_spread(z1: float, sigma: float, prior: PriorConfig = PriorConfig()) ->
         raise ValueError("bearing sigma must be positive and finite")
 
     s, c = np.sin(z1), np.cos(z1)
-    # numpy's ** gives inf (which the bound reports) where a Python float's
-    # raises OverflowError; both call the same pow, so the bits agree.
-    range_var = np.float64(prior.range_sigma) ** 2
-    cross_var = (prior.range_mean * sigma) ** 2
-    var_x = range_var * s * s + cross_var * c * c
-    var_y = range_var * c * c + cross_var * s * s
-    cov_xy = (range_var - cross_var) * s * c
-
-    vel_var = np.float64(prior.vel_sigma) ** 2
+    # numpy's ** gives inf (which GaussianPossibility and the bound refuse) where a
+    # Python float's raises OverflowError; both call the same pow, so the bits agree.
+    with np.errstate(over="ignore", invalid="ignore"):
+        range_var = np.float64(prior.range_sigma) ** 2
+        cross_var = (prior.range_mean * np.float64(sigma)) ** 2
+        var_x = range_var * s * s + cross_var * c * c
+        var_y = range_var * c * c + cross_var * s * s
+        cov_xy = (range_var - cross_var) * s * c
+        vel_var = np.float64(prior.vel_sigma) ** 2
     P = np.diag([var_x, vel_var, var_y, vel_var])
     P[0, 2] = P[2, 0] = cov_xy
     return P

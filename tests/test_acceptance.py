@@ -341,7 +341,7 @@ def test_criterion_8_invariant_suite(canonical, tmp_path):
     scenario = Scenario(scan_count=10, observer_leg_scans=3)
     rng_world = np.random.default_rng((3, 0))
     z = synthesize_measurements(scenario, rng_world, scenario.nominal_track)
-    sigma = scenario.filter_sigma
+    sigma = scenario.filter_noise.sigma
     prior = init_prior(z[0], scenario.observer[0, [1, 3]], sigma=sigma)
     F = scenario.F
     transition = LinearGaussianTransition(F, scenario.process_noise)

@@ -168,6 +168,12 @@ def test_noise_model_rejects_a_sigma_that_is_not_positive_and_finite(sigma):
         NoiseModel(sigma)
 
 
+def test_scenario_refuses_a_student_t_filter_noise_model():
+    # The filters' bearing likelihood is Gaussian, so only nu = inf states what they assume.
+    with pytest.raises(ValueError, match=r"filter_noise\.nu"):
+        Scenario(filter_noise=NoiseModel(1.0 * DEG, 3.0))
+
+
 def test_student_t_heavy_tails_widen_spread():
     sigma = 1.0 * DEG
     t3 = NoiseModel(sigma, nu=3.0)
@@ -302,7 +308,6 @@ def test_collapse_makes_a_divergent_run_not_a_crash(monkeypatch):
         {"q": -1e-3},
         {"q": math.nan},
         {"q": math.inf},
-        {"filter_sigma": math.nan},
         {"initial_range": 0.0},
         {"initial_range": math.inf},
         {"initial_bearing": math.nan},
@@ -598,7 +603,7 @@ def test_divergence_monotone_in_tail_dof():
 def test_scenario_crlb_first_scan_matches_prior():
     s = Scenario()
     bound = scenario_crlb(s)
-    cross = (10e3 * s.filter_sigma) ** 2
+    cross = (10e3 * s.filter_noise.sigma) ** 2
     expected_scan1 = math.sqrt(cross + 3.5e3**2)
     assert isinstance(bound, np.ndarray) and bound.shape == (s.scan_count,)
     assert bound[0] == pytest.approx(expected_scan1, rel=1e-9)
@@ -609,14 +614,15 @@ def test_scenario_crlb_bounds_the_filters_noise_model_not_the_truths():
     s = Scenario()
     for truth in (NoiseModel(math.radians(2.0)), NoiseModel(math.radians(1.0), 3.0)):
         assert (scenario_crlb(dataclasses.replace(s, true_noise=truth)) == scenario_crlb(s)).all()
-    assert not (scenario_crlb(dataclasses.replace(s, filter_sigma=math.radians(2.0))) == scenario_crlb(s)).any()
+    wider = dataclasses.replace(s, filter_noise=NoiseModel(math.radians(2.0)))
+    assert not (scenario_crlb(wider) == scenario_crlb(s)).any()
 
 
 @pytest.mark.parametrize(
     "scenario, prior",
     [
         (Scenario(), PriorConfig(range_sigma=1e300)),
-        (Scenario(filter_sigma=math.radians(1e300)), PriorConfig()),
+        (Scenario(filter_noise=NoiseModel(math.radians(1e300))), PriorConfig()),
     ],
 )
 def test_scenario_crlb_raises_naming_the_first_non_finite_scan(recwarn, scenario, prior):

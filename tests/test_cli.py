@@ -59,6 +59,7 @@ def test_config_defaults_are_the_library_defaults():
     cfg = load_config(None, [])
     got, want = cfg.scenario(), Scenario()
     assert got == want
+    assert got.true_noise == got.filter_noise and want.true_noise == want.filter_noise
     for name in ("observer", "nominal_track", "F"):  # derived from the compared fields
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert cfg.prior() == PriorConfig()
@@ -94,6 +95,12 @@ def test_engagement_changes_cover_every_scenario_key():
 def test_every_engagement_key_reaches_the_scenario(key):
     base = load_config(None, ENGAGEMENT_BASE).scenario()
     assert load_config(None, ENGAGEMENT_BASE + [f"{key}={ENGAGEMENT_CHANGES[key]}"]).scenario() != base
+
+
+@pytest.mark.parametrize("key", ["filter.sigma_deg", "scenario.noise_sigma_deg"])
+def test_a_second_bearing_sigma_mismatches_the_noise_models(key):
+    scenario = load_config(None, [f"{key}=2"]).scenario()
+    assert scenario.true_noise != scenario.filter_noise
 
 
 def test_missing_file_is_config_error(tmp_path):

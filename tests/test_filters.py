@@ -227,7 +227,7 @@ def test_run_single_first_estimate_is_the_init_estimate(kind):
     seed, n = 11, 300
     rng_world = np.random.default_rng((seed, 0))
     z = synthesize_measurements(scenario, rng_world, sample_target_track(scenario, rng_world))
-    prior = init_prior(z[0], scenario.observer[0, [1, 3]], scenario.filter_sigma)
+    prior = init_prior(z[0], scenario.observer[0, [1, 3]], scenario.filter_noise.sigma)
     init = possibility_pf_init if kind == FILTER_POSSIBILITY else standard_pf_init
     _, estimate = init(prior, n, np.random.default_rng((seed, 1)))
     np.testing.assert_array_equal(run_single(scenario, kind, n, seed).estimate_track[0], estimate[::2])

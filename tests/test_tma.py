@@ -1,13 +1,14 @@
 """Tests for the bearings-only problem definition."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posspf.bench import Scenario, scenario_crlb
+from posspf.bench import NoiseModel, Scenario, scenario_crlb
 from posspf.filters import LinearGaussianTransition
 from posspf.possq import GaussianPossibility
 from posspf.tma import (
@@ -340,6 +341,14 @@ def test_init_prior_spread_is_positive_definite(z1):
     np.linalg.cholesky(prior.spread)
 
 
+@pytest.mark.parametrize("sigma", [1e300, np.float64(1e300)], ids=["float", "float64"])
+def test_init_prior_refuses_a_spread_that_overflows_without_warning(sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="spread matrix is not finite"):
+            init_prior(0.0, (0.0, 0.0), sigma)
+
+
 # ---------------------------------------------------------------------------
 # Cramer-Rao bound
 # ---------------------------------------------------------------------------
@@ -369,7 +378,7 @@ def test_crlb_canonical_curve_finite_and_improving():
 
 def crlb_information_form(true_relative, scenario, prior):
     """Reference: the information recursion J_k = [F J^-1 F' + Q]^-1 + H'H / sigma^2."""
-    F, Q, sigma = scenario.F, scenario.process_noise.spread, scenario.filter_sigma
+    F, Q, sigma = scenario.F, scenario.process_noise.spread, scenario.filter_noise.sigma
     J = np.linalg.inv(prior.spread)
     bounds = [prior.spread]
     for k in range(1, true_relative.shape[0]):
@@ -396,11 +405,11 @@ def test_crlb_equals_information_form(q, bearing, heading, speed, range_m, sigma
     # Every prior field moves the per-scan bound: the range fields from scan 1, vel_sigma from scan 2 on.
     scenario = Scenario(
         q=q, initial_bearing=math.radians(bearing), target_heading=math.radians(heading), target_speed=speed,
-        initial_range=range_m, filter_sigma=math.radians(sigma_deg),
+        initial_range=range_m, filter_noise=NoiseModel(math.radians(sigma_deg)),
     )
     prior_config = PriorConfig(range_mean, range_sigma, vel_sigma)
     rel = scenario.nominal_track - scenario.observer
-    prior = init_prior(bearings_of(rel[:1])[0], scenario.observer[0, [1, 3]], scenario.filter_sigma, prior_config)
+    prior = init_prior(bearings_of(rel[:1])[0], scenario.observer[0, [1, 3]], scenario.filter_noise.sigma, prior_config)
     reference = crlb_information_form(rel, scenario, prior)
     np.testing.assert_allclose(
         scenario_crlb(scenario, prior_config), np.sqrt(reference[:, 0, 0] + reference[:, 2, 2]), rtol=1e-9
